@@ -17,12 +17,15 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
-from mobiuslab.identity import moebius_via_identity, moebius_via_identity_odd
+import numpy as np
+
+from mobiuslab.identity import identity_blocks
 from mobiuslab.probability import (
     delta_prob,
     interval_of,
@@ -137,8 +140,29 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int/str digit limit, restoring it on exit.
+
+    Exact probabilities outgrow the default 4300 digits from n ~ 2.5e7 on.
+    Interpreters older than 3.11 (and 3.10.7) have no limit to lift.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
 def _fraction_json(f: Fraction) -> dict:
-    return {"num": str(f.numerator), "den": str(f.denominator), "decimal": float(f)}
+    with _unlimited_int_digits():
+        num, den = str(f.numerator), str(f.denominator)
+    return {"num": num, "den": den, "decimal": float(f)}
 
 
 def cmd_sieve(cfg: RunConfig) -> int:
@@ -156,14 +180,17 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
     if cfg.limit < 2:
         raise ValueError("--max must be >= 2")
     table = ensure_table(cfg.limit, cfg.cache_dir)
-    start = 3 if cfg.odd_only else 2
-    step = 2 if cfg.odd_only else 1
-    evaluate = moebius_via_identity_odd if cfg.odd_only else moebius_via_identity
-    for n in range(start, cfg.limit + 1, step):
-        got = evaluate(n, table)
-        expected = int(table.values[n])
-        if got != expected:
-            print(f"mismatch at n={n}: identity gives {got}, sieve gives {expected}")
+    start, step = (3, 2) if cfg.odd_only else (2, 1)
+    for lo, got in identity_blocks(start, cfg.limit + 1, table.values, odd=cfg.odd_only):
+        first = (start - lo) % step  # with --odd-only, the first odd n of the block
+        expected = table.values[lo + first : lo + got.size : step]
+        wrong = np.flatnonzero(got[first::step] != expected)
+        if wrong.size:
+            k = first + step * int(wrong[0])
+            print(
+                f"mismatch at n={lo + k}: identity gives {int(got[k])}, "
+                f"sieve gives {int(table.values[lo + k])}"
+            )
             return 1
     checked = "odd n" if cfg.odd_only else "n"
     print(f"identity matches the sieve for all {checked} in [2, {cfg.limit}]")

@@ -6,12 +6,15 @@ entries that keep a leftover prime factor above the base-prime bound.
 Output is exact and independent of the segment size.
 
 Tables persist to a small versioned binary format (see save_table /
-load_table); a corrupted or truncated file raises CorruptCacheError.
+load_table); save_table replaces a file in one rename, and a corrupted or
+truncated file raises CorruptCacheError.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
@@ -175,11 +178,23 @@ def mertens_series(table: MoebiusTable) -> MertensSeries:
 
 
 def save_table(table: MoebiusTable, path: str | Path) -> None:
-    """Write the binary cache: magic, u32 version, u64 limit, int8 payload."""
+    """Write the binary cache: magic, u32 version, u64 limit, int8 payload.
+
+    The bytes go to a hidden temporary file beside path, named for this
+    process and thread (no *.mobs glob matches it), which then replaces
+    path in one rename: readers see the old file or the complete new one,
+    never a partial write.
+    """
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit))
-        fh.write(table.values[1:].tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit))
+            fh.write(table.values[1:].tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_table(path: str | Path) -> MoebiusTable:

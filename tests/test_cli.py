@@ -1,16 +1,33 @@
 import json
+import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from mobiuslab.cli import CACHE_ENV_VAR, main
-from mobiuslab.sieve import save_table, sieve_moebius
+from mobiuslab.probability import delta_prob, prob_triple_even, prob_triple_general, prob_triple_odd
+from mobiuslab.sieve import MoebiusTable, moebius_at, save_table, sieve_moebius
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int/str digit limit in force, where one exists."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def as_fraction(field: dict) -> Fraction:
@@ -68,6 +85,33 @@ class TestVerifyIdentityCommand:
         assert code == 2
         assert "2" in err
 
+    @staticmethod
+    def _cache_with_wrong_values(tmp_path, limit, positions):
+        values = sieve_moebius(limit).values.copy()
+        for n in positions:
+            values[n] = 1 if values[n] == 0 else 0
+        save_table(MoebiusTable(limit=limit, values=values), tmp_path / f"moebius_{limit}.mobs")
+        return values
+
+    def test_mismatch_names_smallest_n(self, capsys, tmp_path):
+        # both positions exceed sqrt(10^4), so the identity still gives mu there
+        values = self._cache_with_wrong_values(tmp_path, 10**4, [7001, 4000])
+        code, out, _ = run(capsys, "verify-identity", "--max", "10000", "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert out == (
+            f"mismatch at n=4000: identity gives {moebius_at(4000)}, sieve gives {values[4000]}\n"
+        )
+
+    def test_odd_only_mismatch_skips_even_n(self, capsys, tmp_path):
+        values = self._cache_with_wrong_values(tmp_path, 10**4, [7001, 4000])
+        code, out, _ = run(
+            capsys, "verify-identity", "--max", "10000", "--odd-only", "--cache-dir", str(tmp_path)
+        )
+        assert code == 1
+        assert out == (
+            f"mismatch at n=7001: identity gives {moebius_at(7001)}, sieve gives {values[7001]}\n"
+        )
+
 
 class TestProbsCommand:
     def test_general_at_five(self, capsys, tmp_path):
@@ -99,6 +143,38 @@ class TestProbsCommand:
         assert as_fraction(payload["p_minus"]) == Fraction(2, 3)
         assert as_fraction(payload["p_plus"]) == Fraction(2, 9)
         assert as_fraction(payload["p_zero"]) == Fraction(1, 9)
+
+    @pytest.mark.parametrize(
+        "n, parity, triple_fn, parity_class",
+        [
+            (100_000_000, "all", prob_triple_general, "general"),
+            (100_000_000, "even", prob_triple_even, "even"),
+            (100_000_001, "odd", prob_triple_odd, "odd"),
+        ],
+    )
+    def test_past_the_int_digit_limit(
+        self, capsys, tmp_path, default_digit_limit, n, parity, triple_fn, parity_class
+    ):
+        # cutoff 1e4: denominators near 8600 digits, over the default 4300
+        code, out, err = run(
+            capsys, "probs", "--n", str(n), "--parity", parity, "--cache-dir", str(tmp_path)
+        )
+        if default_digit_limit is not None:
+            assert sys.get_int_max_str_digits() == default_digit_limit
+        assert code == 0, err
+        table = sieve_moebius(isqrt(n) + 10)
+        triple = triple_fn(n, table)
+        if default_digit_limit is not None:
+            sys.set_int_max_str_digits(0)  # to parse; the fixture restores it
+        payload = json.loads(out)
+        got = {key: as_fraction(payload[key]) for key in ("p_minus", "p_plus", "p_zero", "gap")}
+        assert got == {
+            "p_minus": triple.p_minus,
+            "p_plus": triple.p_plus,
+            "p_zero": triple.p_zero,
+            "gap": delta_prob(n, parity_class, table),
+        }
+        assert len(payload["p_zero"]["den"]) > 4300
 
     def test_parity_mismatch(self, capsys, tmp_path):
         code, _, err = run(

@@ -6,15 +6,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuslab import sieve_moebius
+from mobiuslab import MoebiusTable, ResourceLimitError, sieve_moebius
 from mobiuslab.identity import (
+    _divisor_items,
+    _identity_sum,
     bootstrap_identity,
     delta_divides,
+    identity_blocks,
     identity_terms,
     moebius_via_identity,
     moebius_via_identity_coprime,
     moebius_via_identity_odd,
 )
+
+
+def loop_divisor_items(n, cutoff, values):
+    """The per-d Python loop the numpy divisor scan replaced."""
+    items = []
+    for d in range(1, cutoff + 1):
+        if n % d == 0:
+            m = int(values[d])
+            if m != 0:
+                items.append((d, m))
+    return items
+
+
+def range_sums(lo, hi, mu, **kwargs):
+    blocks = list(identity_blocks(lo, hi, mu, **kwargs))
+    assert [start for start, _ in blocks] == sorted(start for start, _ in blocks)
+    return np.concatenate([sums for _, sums in blocks])
 
 
 class TestDeltaDivides:
@@ -47,6 +67,23 @@ class TestIdentityTerms:
         # the naive pair enumeration and the divisor walk are independent routes
         for n in range(2, 600):
             assert identity_terms(n, table_10k).value() == moebius_via_identity(n, table_10k)
+
+
+class TestDivisorScan:
+    def test_scan_matches_pair_grid(self, table_100k):
+        # cutoffs from 200 up take the numpy scan; the grid is the literal sum
+        rng = random.Random(11)
+        for n in [rng.randrange(200**2, 230**2) for _ in range(12)]:
+            assert moebius_via_identity(n, table_100k) == identity_terms(n, table_100k).value()
+
+    def test_scan_matches_loop_up_to_1e10(self, table_100k):
+        rng = random.Random(12)
+        values = table_100k.values
+        for _ in range(200):
+            n = int(10 ** rng.uniform(1, 10))
+            items = loop_divisor_items(n, isqrt(n), values)
+            assert _divisor_items(n, isqrt(n), values) == items
+            assert moebius_via_identity(n, table_100k) == _identity_sum(n, items)
 
 
 class TestMoebiusViaIdentity:
@@ -119,6 +156,57 @@ class TestCoprimeRestricted:
                 checked += 1
 
 
+class TestIdentityBlocks:
+    def test_matches_scalar_on_1e5(self, table_100k):
+        top = 10**5
+        general = range_sums(2, top + 1, table_100k.values)
+        assert general.tolist() == [moebius_via_identity(n, table_100k) for n in range(2, top + 1)]
+        odd = range_sums(3, top + 1, table_100k.values, odd=True)
+        assert odd[::2].tolist() == [
+            moebius_via_identity_odd(n, table_100k) for n in range(3, top + 1, 2)
+        ]
+        assert not odd[1::2].any()
+
+    @pytest.mark.parametrize("block_size", [1, 2, 7, 64, 999, 1500, 4096])
+    def test_block_size_does_not_change_output(self, table_10k, block_size):
+        mu = table_10k.values
+        lo, hi = (2, 600) if block_size <= 2 else (2, 3001)
+        assert np.array_equal(range_sums(lo, hi, mu, block_size=block_size), range_sums(lo, hi, mu))
+        odd = range_sums(lo + 1, hi, mu, odd=True, block_size=block_size)
+        assert np.array_equal(odd, range_sums(lo + 1, hi, mu, odd=True))
+
+    def test_blocks_are_bounded(self, table_10k):
+        blocks = identity_blocks(2, 10**4 + 1, table_10k.values, block_size=999)
+        sizes = [sums.size for _, sums in blocks]
+        assert max(sizes) == 999 and sum(sizes) == 10**4 - 1
+
+    def test_wrong_table_agrees_with_scalar(self):
+        # the engine reads mu only from the table, as the scalar form does
+        rng = np.random.default_rng(3)
+        values = rng.integers(-1, 2, 2001).astype(np.int8)
+        values[0] = 0
+        table = MoebiusTable(limit=2000, values=values)
+        got = range_sums(2, 2001, values, block_size=333)
+        assert got.tolist() == [moebius_via_identity(n, table) for n in range(2, 2001)]
+
+    def test_empty_range(self, table_10k):
+        assert list(identity_blocks(3, 3, table_10k.values, odd=True)) == []
+
+    def test_bad_arguments_rejected(self, table_10k):
+        with pytest.raises(ValueError):
+            identity_blocks(1, 10, table_10k.values)
+        with pytest.raises(ValueError):
+            identity_blocks(2, 10, table_10k.values, block_size=0)
+        with pytest.raises(ValueError, match="up to 11"):
+            identity_blocks(2, 122, sieve_moebius(9).values)
+
+    def test_memory_budget_enforced(self):
+        # a broadcast view reports 2 GiB without allocating it
+        huge = np.broadcast_to(np.int8(0), (2 << 30,))
+        with pytest.raises(ResourceLimitError):
+            identity_blocks(2, 100, huge)
+
+
 class TestBootstrap:
     def test_first_four_values(self):
         assert bootstrap_identity(4).values[1:].tolist() == [1, -1, -1, 0]
@@ -129,6 +217,12 @@ class TestBootstrap:
     def test_matches_sieve_at_scale(self, table_10k):
         rebuilt = bootstrap_identity(10**4)
         assert np.array_equal(rebuilt.values, table_10k.values)
+
+    @pytest.mark.parametrize("k", [2, 4, 16, 256])
+    def test_matches_sieve_around_squares(self, k):
+        # each round fills [L + 1, (L + 1)^2 - 1] from the prefix [1, L]
+        for limit in (k * k - 1, k * k, k * k + 1):
+            assert np.array_equal(bootstrap_identity(limit).values, sieve_moebius(limit).values)
 
     def test_tiny_limit_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiuslab import sieve as sieve_module
 from mobiuslab import (
     CorruptCacheError,
     ResourceLimitError,
@@ -152,6 +153,42 @@ class TestCacheFormat:
         loaded = load_table(path)
         assert loaded.limit == table_10k.limit
         assert np.array_equal(loaded.values, table_10k.values)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, table_10k, existing):
+        path = tmp_path / "moebius_10000.mobs"
+        if existing:
+            save_table(table_10k, path)
+        before = path.read_bytes() if existing else None
+        real_open = open
+
+        class DiskFull:
+            """A file whose second write fails, after the header is out."""
+
+            def __init__(self, *args):
+                self.fh = real_open(*args)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(sieve_module, "open", DiskFull, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_table(sieve_moebius(100), path)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == ([path] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
 
     @given(limit=st.integers(1, 300))
     @settings(max_examples=30, deadline=None)

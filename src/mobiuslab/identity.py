@@ -6,8 +6,8 @@ i, j <= floor(sqrt(n)) whose product divides n.
 Two evaluators compute it. The scalar ones (moebius_via_identity and
 its odd and coprime forms) take one n: only divisors of n can fire the
 divisibility indicator, so they enumerate the squarefree divisors of n
-up to the cutoff (a Python loop for small cutoffs, a numpy scan above
-_SCAN_MIN_CUTOFF) and sum over pairs of them; they are the oracle.
+up to the cutoff (a chunked numpy scan) and sum over pairs of them;
+they are the oracle.
 identity_blocks takes a whole range [lo, hi): for each squarefree pair
 i <= j it adds mu(i)mu(j), doubled when i < j, to the multiples of i*j
 from max(lo, j^2) upward, then negates. Starting at j^2 is what keeps
@@ -33,9 +33,6 @@ import numpy as np
 
 from mobiuslab.sieve import DEFAULT_MEMORY_BUDGET, MoebiusTable, ResourceLimitError
 
-# Below this cutoff the Python divisor loop beats the numpy scan, whose
-# fixed cost is a few numpy calls (measured crossover: cutoff 200-225).
-_SCAN_MIN_CUTOFF = 200
 # The scan runs in chunks of 64 KB temporaries: one 800 KB temporary per
 # call near n = 1e10 grew the process heap by ~6 MB over 200 calls.
 _SCAN_CHUNK = 8192
@@ -100,8 +97,6 @@ def identity_terms(n: int, mu_prefix: MoebiusTable) -> IdentityTermSet:
 
 def _divisor_items(n: int, cutoff: int, values) -> list[tuple[int, int]]:
     """Squarefree divisors of n up to cutoff, paired with their mu value."""
-    if cutoff < _SCAN_MIN_CUTOFF:
-        return [(d, m) for d in range(1, cutoff + 1) if n % d == 0 and (m := int(values[d]))]
     divisors = []
     for lo in range(1, cutoff + 1, _SCAN_CHUNK):
         r = np.arange(lo, min(lo + _SCAN_CHUNK, cutoff + 1))

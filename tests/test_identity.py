@@ -71,7 +71,7 @@ class TestIdentityTerms:
 
 class TestDivisorScan:
     def test_scan_matches_pair_grid(self, table_100k):
-        # cutoffs from 200 up take the numpy scan; the grid is the literal sum
+        # every cutoff takes the numpy scan; the grid is the literal sum
         rng = random.Random(11)
         for n in [rng.randrange(200**2, 230**2) for _ in range(12)]:
             assert moebius_via_identity(n, table_100k) == identity_terms(n, table_100k).value()

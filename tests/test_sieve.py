@@ -155,6 +155,24 @@ class TestCacheFormat:
         assert np.array_equal(loaded.values, table_10k.values)
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_data_reaches_disk_before_rename(self, tmp_path, monkeypatch, table_10k):
+        # without the fsync a crash could persist the rename before the data
+        events = []
+        real_fsync, real_replace = sieve_module.os.fsync, sieve_module.os.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(sieve_module.os, "fsync", fsync)
+        monkeypatch.setattr(sieve_module.os, "replace", replace)
+        save_table(table_10k, tmp_path / "table.mobs")
+        assert events == ["fsync", "replace"]
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, table_10k, existing):
         path = tmp_path / "moebius_10000.mobs"

@@ -3,27 +3,18 @@
 6/pi^2 (all), 8/pi^2 (odd), and 4/pi^2 (even).
 
 Writes one CSV per parity class with cumulative frequencies at
-geometric checkpoints and prints the final offsets from the limits.
+geometric checkpoints (the output of `mobiuslab density`) and prints the
+final offsets from the limits. The mu table is cached like the CLI's,
+under $MOBIUSLAB_CACHE_DIR or ./cache.
 
     python3 scripts/density_scan.py --max 10000000 --out-dir results
 """
 
 import argparse
-import csv
+import sys
 from pathlib import Path
 
-from mobiuslab import empirical_frequencies, sieve_moebius
-
-
-def checkpoints(limit: int) -> list[int]:
-    points = []
-    k = 8
-    while (n := int(10 ** (k / 8))) < limit:
-        if not points or n != points[-1]:
-            points.append(n)
-        k += 1
-    points.append(limit)
-    return points
+from mobiuslab import cli, empirical_frequencies
 
 
 def main() -> None:
@@ -32,32 +23,18 @@ def main() -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     args = parser.parse_args()
 
-    print(f"sieving mu up to {args.max} ...")
-    table = sieve_moebius(args.max)
+    cache_dir = cli.resolve_cache_dir(None)
+    table = cli.ensure_table(args.max, cache_dir)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     for parity in ("all", "odd", "even"):
         path = args.out_dir / f"density_{parity}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["n", "freq_minus", "freq_plus", "freq_zero", "freq_squarefree", "limit"]
-            )
-            for n in checkpoints(args.max):
-                r = empirical_frequencies(1, n + 1, parity, table)
-                writer.writerow(
-                    [n]
-                    + [
-                        f"{x:.12g}"
-                        for x in (
-                            r.freq_minus,
-                            r.freq_plus,
-                            r.freq_zero,
-                            r.freq_squarefree,
-                            r.limit_value,
-                        )
-                    ]
-                )
+        code = cli.main(
+            ["density", "--max", str(args.max), "--parity", parity,
+             "--out", str(path), "--cache-dir", str(cache_dir)]
+        )
+        if code:
+            sys.exit(code)
         final = empirical_frequencies(1, args.max + 1, parity, table)
         print(
             f"{parity:>5}: freq_squarefree={final.freq_squarefree:.8f} "

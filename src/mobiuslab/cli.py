@@ -7,6 +7,12 @@ variable); commands sieve on cache miss with a note to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter
 error, 3 corrupt cache file.
+
+A corrupt cache file is reported with exit 3 and left as it is, not
+sieved over. save_table writes a temp file, fsyncs it and renames it into
+place, so no run of this program, killed or concurrent, leaves a corrupt
+file behind; one that fails to load was damaged from outside, and that
+is reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -28,6 +33,7 @@ import numpy as np
 from mobiuslab.identity import identity_blocks
 from mobiuslab.probability import (
     delta_prob,
+    harmonic_series,
     interval_of,
     prob_triple_even,
     prob_triple_general,
@@ -44,6 +50,7 @@ from mobiuslab.sieve import (
 )
 from mobiuslab.stochastic import (
     MIN_TEST_LENGTH,
+    checkpoint_grid,
     chi_square_balance,
     coin_sign_sequence,
     coin_walk_simulate,
@@ -58,28 +65,6 @@ from mobiuslab.stochastic import (
 CACHE_ENV_VAR = "MOBIUSLAB_CACHE_DIR"
 DENSITY_CSV_HEADER = ["n", "freq_minus", "freq_plus", "freq_zero", "freq_squarefree", "limit"]
 WALK_CSV_HEADER = ["n", "M", "sqrt_n", "ratio", "shift_term"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    limit: int | None = None
-    n: int | None = None
-    range_: tuple[int, int] | None = None
-    parity: str = "all"
-    fmt: str = "csv"
-    out: str | None = None
-    cache_dir: Path = Path("cache")
-    odd_only: bool = False
-    window: int | None = None
-    steps: int | None = None
-    trials: int | None = None
-    seed: int = 0
-    c: float = 1.96
-    epsilon: float = 0.1
-    lag: int = 1
-    synthetic: bool = False
-    bias: float = 0.5
 
 
 def _positive_int(text: str) -> int:
@@ -101,10 +86,8 @@ def _range_pair(text: str) -> tuple[int, int]:
 
 
 def resolve_cache_dir(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_ENV_VAR)
-    return Path(env) if env else Path("cache")
+    """--cache-dir, then $MOBIUSLAB_CACHE_DIR, then ./cache."""
+    return Path(flag_value or os.environ.get(CACHE_ENV_VAR) or "cache")
 
 
 def ensure_table(limit: int, cache_dir: Path) -> MoebiusTable:
@@ -165,23 +148,23 @@ def _fraction_json(f: Fraction) -> dict:
     return {"num": num, "den": den, "decimal": float(f)}
 
 
-def cmd_sieve(cfg: RunConfig) -> int:
-    table = sieve_moebius(cfg.limit)
-    cfg.cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.cache_dir / f"moebius_{cfg.limit}.mobs"
+def cmd_sieve(args: argparse.Namespace) -> int:
+    table = sieve_moebius(args.limit)
+    args.cache_dir.mkdir(parents=True, exist_ok=True)
+    path = args.cache_dir / f"moebius_{args.limit}.mobs"
     save_table(table, path)
     squarefree = int((table.values[1:] != 0).sum())
     m_limit = int(table.values[1:].sum(dtype="int64"))
-    print(f"limit={cfg.limit} squarefree={squarefree} M({cfg.limit})={m_limit} cache={path}")
+    print(f"limit={args.limit} squarefree={squarefree} M({args.limit})={m_limit} cache={path}")
     return 0
 
 
-def cmd_verify_identity(cfg: RunConfig) -> int:
-    if cfg.limit < 2:
+def cmd_verify_identity(args: argparse.Namespace) -> int:
+    if args.limit < 2:
         raise ValueError("--max must be >= 2")
-    table = ensure_table(cfg.limit, cfg.cache_dir)
-    start, step = (3, 2) if cfg.odd_only else (2, 1)
-    for lo, got in identity_blocks(start, cfg.limit + 1, table.values, odd=cfg.odd_only):
+    table = ensure_table(args.limit, args.cache_dir)
+    start, step = (3, 2) if args.odd_only else (2, 1)
+    for lo, got in identity_blocks(start, args.limit + 1, table.values, odd=args.odd_only):
         first = (start - lo) % step  # with --odd-only, the first odd n of the block
         expected = table.values[lo + first : lo + got.size : step]
         wrong = np.flatnonzero(got[first::step] != expected)
@@ -192,64 +175,46 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
                 f"sieve gives {int(table.values[lo + k])}"
             )
             return 1
-    checked = "odd n" if cfg.odd_only else "n"
-    print(f"identity matches the sieve for all {checked} in [2, {cfg.limit}]")
+    checked = "odd n" if args.odd_only else "n"
+    print(f"identity matches the sieve for all {checked} in [2, {args.limit}]")
     return 0
 
 
-def cmd_probs(cfg: RunConfig) -> int:
-    n = cfg.n
-    table = ensure_table(max(isqrt(n) + 10, 100), cfg.cache_dir)
-    if cfg.parity == "all":
-        triple = prob_triple_general(n, table)
-        parity_class = "general"
-    elif cfg.parity == "odd":
-        triple = prob_triple_odd(n, table)
-        parity_class = "odd"
-    else:
-        triple = prob_triple_even(n, table)
-        parity_class = "even"
+def cmd_probs(args: argparse.Namespace) -> int:
+    n = args.n
+    table = ensure_table(max(isqrt(n) + 10, 100), args.cache_dir)
+    series = harmonic_series(isqrt(n), table)
+    # Built per call, so that wrappers installed on these module names (a tracer,
+    # say) are the functions called.
+    triple_fns = {"all": prob_triple_general, "odd": prob_triple_odd, "even": prob_triple_even}
+    triple = triple_fns[args.parity](n, table, series=series)
     bracket = interval_of(n, table)
-    gap = delta_prob(n, parity_class, table)
+    gap = delta_prob(n, triple.parity_class, table, series=series)
     payload = {
         "n": n,
-        "parity": parity_class,
+        "parity": triple.parity_class,
         "interval": {"lower": bracket.lower, "upper": bracket.upper},
         "p_minus": _fraction_json(triple.p_minus),
         "p_plus": _fraction_json(triple.p_plus),
         "p_zero": _fraction_json(triple.p_zero),
         "gap": _fraction_json(gap),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
-def _density_checkpoints(limit: int) -> list[int]:
-    points = []
-    k = 8  # 10^(8/8) = 10
-    while True:
-        n = int(10 ** (k / 8))
-        if n >= limit:
-            break
-        if not points or n != points[-1]:
-            points.append(n)
-        k += 1
-    points.append(limit)
-    return points
-
-
-def cmd_density(cfg: RunConfig) -> int:
-    table = ensure_table(cfg.limit, cfg.cache_dir)
-    if cfg.window:
-        edges = list(range(1, cfg.limit + 1, cfg.window))
-        spans = [(a, min(a + cfg.window, cfg.limit + 1)) for a in edges]
+def cmd_density(args: argparse.Namespace) -> int:
+    table = ensure_table(args.limit, args.cache_dir)
+    if args.window:
+        edges = list(range(1, args.limit + 1, args.window))
+        spans = [(a, min(a + args.window, args.limit + 1)) for a in edges]
     else:
-        spans = [(1, n + 1) for n in _density_checkpoints(cfg.limit)]
+        spans = [(1, n + 1) for n in checkpoint_grid(10, args.limit - 1) + [args.limit]]
     rows = []
     for a, b in spans:
-        if cfg.parity != "all" and not any(n % 2 == (cfg.parity == "odd") for n in range(a, b)):
+        if args.parity != "all" and not any(n % 2 == (args.parity == "odd") for n in range(a, b)):
             continue  # window holds no integers of this parity
-        report = empirical_frequencies(a, b, cfg.parity, table)
+        report = empirical_frequencies(a, b, args.parity, table)
         rows.append(
             {
                 "n": b - 1,
@@ -260,8 +225,8 @@ def cmd_density(cfg: RunConfig) -> int:
                 "limit": report.limit_value,
             }
         )
-    if cfg.fmt == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(rows, indent=2) + "\n", args.out)
         return 0
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -270,15 +235,15 @@ def cmd_density(cfg: RunConfig) -> int:
         writer.writerow(
             [row["n"]] + [_fmt_float(row[key]) for key in DENSITY_CSV_HEADER[1:]]
         )
-    _emit(buffer.getvalue(), cfg.out)
+    _emit(buffer.getvalue(), args.out)
     return 0
 
 
-def cmd_walk(cfg: RunConfig) -> int:
-    if cfg.limit < 1000:
+def cmd_walk(args: argparse.Namespace) -> int:
+    if args.limit < 1000:
         raise ValueError("--max must be >= 1000 to give enough checkpoints")
-    table = ensure_table(cfg.limit, cfg.cache_dir)
-    stats = mertens_walk_stats(cfg.limit, mertens_series(table), table)
+    table = ensure_table(args.limit, args.cache_dir)
+    stats = mertens_walk_stats(args.limit, mertens_series(table), table)
     rows = [
         {
             "n": int(n),
@@ -291,9 +256,9 @@ def cmd_walk(cfg: RunConfig) -> int:
             stats.checkpoints, stats.m_values, stats.ratios, stats.shift_terms
         )
     ]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {"rows": rows, "alpha": stats.alpha, "residual": stats.fit_residual}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -306,12 +271,12 @@ def cmd_walk(cfg: RunConfig) -> int:
     buffer.write(
         f"# alpha={_fmt_float(stats.alpha)} residual={_fmt_float(stats.fit_residual)}\n"
     )
-    _emit(buffer.getvalue(), cfg.out)
+    _emit(buffer.getvalue(), args.out)
     return 0
 
 
-def cmd_cointoss(cfg: RunConfig) -> int:
-    summary = coin_walk_simulate(cfg.steps, cfg.trials, cfg.seed, cfg.c, cfg.epsilon)
+def cmd_cointoss(args: argparse.Namespace) -> int:
+    summary = coin_walk_simulate(args.steps, args.trials, args.seed, args.c, args.epsilon)
     payload = {
         "steps": summary.steps,
         "trials": summary.trials,
@@ -320,30 +285,30 @@ def cmd_cointoss(cfg: RunConfig) -> int:
         "epsilon": summary.epsilon,
         "fraction_within_c_sqrt": summary.fraction_within_c_sqrt,
         "fraction_within_power": summary.fraction_within_power,
-        "theoretical_within_c": normal_cdf(cfg.c) - normal_cdf(-cfg.c),
+        "theoretical_within_c": normal_cdf(args.c) - normal_cdf(-args.c),
         "mean_terminal": summary.mean_terminal,
         "std_terminal": summary.std_terminal,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
-def cmd_mustats(cfg: RunConfig) -> int:
-    a, b = cfg.range_
-    if cfg.synthetic:
-        seq = coin_sign_sequence(b - a, cfg.seed, p_plus=cfg.bias)
-        descriptor = f"coin(p={cfg.bias}, seed={cfg.seed}, n={b - a})"
+def cmd_mustats(args: argparse.Namespace) -> int:
+    a, b = args.range_
+    if args.synthetic:
+        seq = coin_sign_sequence(b - a, args.seed, p_plus=args.bias)
+        descriptor = f"coin(p={args.bias}, seed={args.seed}, n={b - a})"
     else:
-        table = ensure_table(b - 1, cfg.cache_dir)
-        seq = sign_sequence_squarefree(a, b, cfg.parity, table)
-        descriptor = f"mu-signs[{a}:{b}) parity={cfg.parity}"
+        table = ensure_table(b - 1, args.cache_dir)
+        seq = sign_sequence_squarefree(a, b, args.parity, table)
+        descriptor = f"mu-signs[{a}:{b}) parity={args.parity}"
     if seq.size < MIN_TEST_LENGTH:
         raise ValueError(
             f"sequence of length {seq.size} is below the test minimum {MIN_TEST_LENGTH}"
         )
     reports = [chi_square_balance(seq, descriptor), runs_test(seq, descriptor)]
     reports += [
-        lag_autocorrelation(seq, k, descriptor) for k in range(1, cfg.lag + 1)
+        lag_autocorrelation(seq, k, descriptor) for k in range(1, args.lag + 1)
     ]
     payload = [
         {
@@ -356,7 +321,7 @@ def cmd_mustats(cfg: RunConfig) -> int:
         }
         for r in reports
     ]
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -431,24 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for field in (
-        "limit", "n", "range_", "parity", "fmt", "out", "odd_only", "window",
-        "steps", "trials", "seed", "c", "epsilon", "lag", "synthetic", "bias",
-    ):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    cfg.cache_dir = resolve_cache_dir(getattr(args, "cache_dir", None))
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
+    args = build_parser().parse_args(argv)
+    args.cache_dir = resolve_cache_dir(getattr(args, "cache_dir", None))
     try:
-        return args.func(cfg)
+        return args.func(args)
     except CorruptCacheError as exc:
         print(f"corrupt cache: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Literal
 
@@ -108,81 +107,85 @@ def harmonic_series_many(
     return out
 
 
-@lru_cache(maxsize=4096)
-def _cached_series(mu_prefix: MoebiusTable, cutoff: int) -> HarmonicMuSeries:
+def harmonic_series(cutoff: int, mu_prefix: MoebiusTable) -> HarmonicMuSeries:
+    """Exact series at one cutoff."""
     return harmonic_series_many([cutoff], mu_prefix)[cutoff]
 
 
-def harmonic_series(cutoff: int, mu_prefix: MoebiusTable) -> HarmonicMuSeries:
-    """Exact series at one cutoff (memoized per table)."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    if mu_prefix.limit < cutoff:
+def _class_sums(
+    series: HarmonicMuSeries, parity_class: ParityClass
+) -> tuple[Fraction, Fraction]:
+    """(m^2, s2) of a class: the all-index sums, the odd-index sums, or
+    2 * all - odd for the even class."""
+    if parity_class == "general":
+        return series.m**2, series.s2
+    if parity_class == "odd":
+        return series.m_odd**2, series.s2_odd
+    if parity_class == "even":
+        return 2 * series.m**2 - series.m_odd**2, 2 * series.s2 - series.s2_odd
+    raise ValueError(f"unknown parity class {parity_class!r}")
+
+
+def _check_n(n: int, parity_class: ParityClass) -> None:
+    """n must be >= 2 and, for the odd and even classes, of that parity."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if (parity_class == "odd" and n % 2 == 0) or (parity_class == "even" and n % 2):
+        raise ValueError(f"{parity_class} class requires {parity_class} n")
+
+
+def _series_for(n: int, mu_prefix: MoebiusTable, series: HarmonicMuSeries | None):
+    cutoff = isqrt(n)
+    if series is None:
+        return harmonic_series(cutoff, mu_prefix)
+    if series.cutoff != cutoff:
         raise ValueError(
-            f"prefix table covers {mu_prefix.limit}, cutoff {cutoff} requested"
+            f"series cutoff {series.cutoff} does not match floor(sqrt({n})) = {cutoff}"
         )
-    return _cached_series(mu_prefix, cutoff)
+    return series
 
 
 def triple_from_series(
     series: HarmonicMuSeries, parity_class: ParityClass
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(p_minus, p_plus, p_zero) for a class, straight from partial sums."""
-    if parity_class == "general":
-        msq, s2 = series.m**2, series.s2
-    elif parity_class == "odd":
-        msq, s2 = series.m_odd**2, series.s2_odd
-    elif parity_class == "even":
-        msq = 2 * series.m**2 - series.m_odd**2
-        s2 = 2 * series.s2 - series.s2_odd
-    else:
-        raise ValueError(f"unknown parity class {parity_class!r}")
+    msq, s2 = _class_sums(series, parity_class)
     half = Fraction(1, 2)
     return (half * msq + half * s2, -half * msq + half * s2, 1 - s2)
 
 
-def _series_for(n: int, mu_prefix: MoebiusTable, series: HarmonicMuSeries | None):
-    cutoff = isqrt(n)
-    if series is not None:
-        if series.cutoff != cutoff:
-            raise ValueError(
-                f"series cutoff {series.cutoff} does not match floor(sqrt({n})) = {cutoff}"
-            )
-        return series
-    return harmonic_series(cutoff, mu_prefix)
+def _triple(
+    n: int,
+    parity_class: ParityClass,
+    mu_prefix: MoebiusTable,
+    series: HarmonicMuSeries | None,
+) -> ProbabilityTriple:
+    _check_n(n, parity_class)
+    p_minus, p_plus, p_zero = triple_from_series(
+        _series_for(n, mu_prefix, series), parity_class
+    )
+    return ProbabilityTriple(p_minus, p_plus, p_zero, n=n, parity_class=parity_class)
 
 
 def prob_triple_general(
     n: int, mu_prefix: MoebiusTable, *, series: HarmonicMuSeries | None = None
 ) -> ProbabilityTriple:
     """Exact triple for arbitrary n >= 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    s = _series_for(n, mu_prefix, series)
-    p_minus, p_plus, p_zero = triple_from_series(s, "general")
-    return ProbabilityTriple(p_minus, p_plus, p_zero, n=n, parity_class="general")
+    return _triple(n, "general", mu_prefix, series)
 
 
 def prob_triple_odd(
     n: int, mu_prefix: MoebiusTable, *, series: HarmonicMuSeries | None = None
 ) -> ProbabilityTriple:
     """Exact triple for odd n, from the odd-index partial sums."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    s = _series_for(n, mu_prefix, series)
-    p_minus, p_plus, p_zero = triple_from_series(s, "odd")
-    return ProbabilityTriple(p_minus, p_plus, p_zero, n=n, parity_class="odd")
+    return _triple(n, "odd", mu_prefix, series)
 
 
 def prob_triple_even(
     n: int, mu_prefix: MoebiusTable, *, series: HarmonicMuSeries | None = None
 ) -> ProbabilityTriple:
     """Exact triple for even n: 2 * general - odd, at the same cutoff."""
-    if n < 2 or n % 2:
-        raise ValueError("n must be even and >= 2")
-    s = _series_for(n, mu_prefix, series)
-    p_minus, p_plus, p_zero = triple_from_series(s, "even")
-    return ProbabilityTriple(p_minus, p_plus, p_zero, n=n, parity_class="even")
+    return _triple(n, "even", mu_prefix, series)
 
 
 def delta_prob(
@@ -197,20 +200,8 @@ def delta_prob(
     general: m_K^2; odd: (m_K^odd)^2; even: 2 m_K^2 - (m_K^odd)^2. The
     even gap can be negative at small cutoffs.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if parity_class == "odd" and n % 2 == 0:
-        raise ValueError("odd class requires odd n")
-    if parity_class == "even" and n % 2:
-        raise ValueError("even class requires even n")
-    s = _series_for(n, mu_prefix, series)
-    if parity_class == "general":
-        return s.m**2
-    if parity_class == "odd":
-        return s.m_odd**2
-    if parity_class == "even":
-        return 2 * s.m**2 - s.m_odd**2
-    raise ValueError(f"unknown parity class {parity_class!r}")
+    _check_n(n, parity_class)
+    return _class_sums(_series_for(n, mu_prefix, series), parity_class)[0]
 
 
 def interval_of(n: int, mu_prefix: MoebiusTable) -> IntervalBracket:

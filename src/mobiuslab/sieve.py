@@ -214,14 +214,16 @@ def load_table(path: str | Path) -> MoebiusTable:
             raise CorruptCacheError(f"{path}: unsupported version {version}")
         if limit < 1:
             raise CorruptCacheError(f"{path}: invalid limit {limit}")
-        payload = fh.read()
-    if len(payload) != limit:
-        raise CorruptCacheError(
-            f"{path}: payload holds {len(payload)} values, header declares {limit}"
-        )
-    values = np.zeros(limit + 1, dtype=np.int8)
-    values[1:] = np.frombuffer(payload, dtype=np.int8)
-    if np.abs(values).max(initial=0) > 1:
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload != limit:
+            raise CorruptCacheError(
+                f"{path}: payload holds {payload} values, header declares {limit}"
+            )
+        values = np.empty(limit + 1, dtype=np.int8)
+        values[0] = 0
+        if fh.readinto(values[1:].data) != limit:
+            raise CorruptCacheError(f"{path}: payload shorter than its size on disk")
+    if values.min() < -1 or values.max() > 1:
         raise CorruptCacheError(f"{path}: payload values outside {{-1, 0, 1}}")
     values.setflags(write=False)
     return MoebiusTable(limit=limit, values=values)

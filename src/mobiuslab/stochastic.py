@@ -22,21 +22,6 @@ from mobiuslab.probability import density_limits, harmonic_series, harmonic_seri
 from mobiuslab.sieve import MertensSeries, MoebiusTable
 
 MIN_TEST_LENGTH = 100
-CHECKPOINT_EXPONENT_STEP = Fraction(1, 8)  # checkpoints at 10^(k/8)
-
-_POP16 = None
-
-
-def _popcount16() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        table = np.arange(1 << 16, dtype=np.uint16)
-        counts = np.zeros(1 << 16, dtype=np.uint8)
-        while table.any():
-            counts += (table & 1).astype(np.uint8)
-            table >>= 1
-        _POP16 = counts
-    return _POP16
 
 
 @dataclass(frozen=True)
@@ -164,14 +149,13 @@ def coin_walk_terminals(steps: int, trials: int, seed: int) -> np.ndarray:
     nwords = (steps + 63) // 64
     rem = steps % 64
     mask = np.uint64((1 << rem) - 1) if rem else np.uint64(0xFFFFFFFFFFFFFFFF)
-    pop = _popcount16()
     out = np.empty(trials, dtype=np.int64)
     chunk = 4096
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
         block = rng.word_block(seed, np.arange(lo, hi, dtype=np.uint64), nwords)
         block[:, -1] &= mask
-        ones = pop[block.view(np.uint16)].sum(axis=1, dtype=np.int64)
+        ones = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
         out[lo:hi] = 2 * ones - steps
     return out
 
@@ -219,15 +203,12 @@ def shift_term(n: int, mu_prefix: MoebiusTable) -> Fraction:
     return n * series.m**2
 
 
-def walk_checkpoints(limit: int) -> list[int]:
-    """Geometric grid floor(10^(k/8)) over [10^3, limit]."""
+def checkpoint_grid(lo: int, hi: int) -> list[int]:
+    """The distinct values floor(10^(k/8)), k = 0, 1, 2, ..., that lie in [lo, hi]."""
     points = []
-    k = 24  # 10^(24/8) = 10^3
-    while True:
-        n = int(10 ** (k * float(CHECKPOINT_EXPONENT_STEP)))
-        if n > limit:
-            break
-        if not points or n != points[-1]:
+    k = 0
+    while (n := int(10 ** (k / 8))) <= hi:
+        if n >= lo and (not points or n != points[-1]):
             points.append(n)
         k += 1
     return points
@@ -241,7 +222,7 @@ def mertens_walk_stats(
         raise ValueError("limit must be >= 1000 to give enough checkpoints")
     if mertens.limit < limit:
         raise ValueError(f"Mertens series covers {mertens.limit}, need {limit}")
-    points = walk_checkpoints(limit)
+    points = checkpoint_grid(1000, limit)
     cutoffs = sorted({isqrt(n) for n in points})
     if mu_prefix.limit < cutoffs[-1]:
         raise ValueError(

@@ -350,6 +350,9 @@ class TestCaching:
         code, _, err = run(capsys, "density", "--max", "600", "--cache-dir", str(tmp_path))
         assert code == 3
         assert "corrupt" in err
+        # reported, not sieved over: the file is untouched and no other table is written
+        assert (tmp_path / "moebius_600.mobs").read_bytes() == raw
+        assert [p.name for p in tmp_path.iterdir()] == ["moebius_600.mobs"]
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))

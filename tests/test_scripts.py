@@ -1,0 +1,52 @@
+"""The experiment scripts, each run end to end at a small size in its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from mobiuslab.cli import CACHE_ENV_VAR, main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_script(name, *argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop(CACHE_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_density_scan_writes_the_cli_output(tmp_path, capsys):
+    out = run_script("density_scan.py", "--max", "5000", "--out-dir", "results", cwd=tmp_path)
+    assert (tmp_path / "cache" / "moebius_5000.mobs").exists()
+    for parity in ("all", "odd", "even"):
+        assert f"{parity:>5}: freq_squarefree=" in out
+        assert main(["density", "--max", "5000", "--parity", parity,
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        written = (tmp_path / "results" / f"density_{parity}.csv").read_text()
+        assert written == capsys.readouterr().out
+
+
+def test_mertens_shift_report(tmp_path):
+    out = run_script("mertens_shift_report.py", "--max", "5000", cwd=tmp_path)
+    rows = [line.split() for line in out.splitlines() if line[:12].strip().isdigit()]
+    assert [row[0] for row in rows] == ["1000", "1333", "1778", "2371", "3162", "4216"]
+    assert rows[0][1] == "2"  # M(1000)
+    assert "over 6 checkpoints" in out
+
+
+def test_coin_calibration(tmp_path):
+    out = run_script(
+        "coin_calibration.py", "--seeds", "20", "--length", "400", "--bias", "0.75", cwd=tmp_path
+    )
+    fair, biased = out.split("biased coin p=0.75")
+    assert "fair coin (20 seeds, length 400):" in fair
+    assert fair.count("rejection rate") == 4
+    assert "chi_square_balance: rejection rate 1.000" in biased

@@ -268,10 +268,11 @@ class TestCacheFormat:
         path = tmp_path / "t.mobs"
         save_table(sieve_moebius(4), path)
         raw = bytearray(path.read_bytes())
-        raw[-1] = 7
-        path.write_bytes(raw)
-        with pytest.raises(CorruptCacheError):
-            load_table(path)
+        for byte in (7, 0xFE, 0x80):  # 7, -2, and -128, whose int8 abs() wraps to -128
+            raw[-1] = byte
+            path.write_bytes(raw)
+            with pytest.raises(CorruptCacheError):
+                load_table(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

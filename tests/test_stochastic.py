@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mobiuslab import mertens_series, sieve_moebius
 from mobiuslab.stochastic import (
     MIN_TEST_LENGTH,
+    checkpoint_grid,
     chi_square_balance,
     coin_sign_sequence,
     coin_walk_simulate,
@@ -20,7 +21,6 @@ from mobiuslab.stochastic import (
     runs_test,
     shift_term,
     sign_sequence_squarefree,
-    walk_checkpoints,
 )
 
 
@@ -172,7 +172,9 @@ class TestNormalCdf:
 
 class TestMertensWalk:
     def test_checkpoint_grid(self):
-        points = walk_checkpoints(10**7)
+        assert checkpoint_grid(1, 10) == [1, 2, 3, 4, 5, 7, 10]
+        assert checkpoint_grid(11, 99) == [13, 17, 23, 31, 42, 56, 74]
+        points = checkpoint_grid(1000, 10**7)
         assert points[0] == 1000
         assert points[-1] <= 10**7
         assert len(points) >= 32

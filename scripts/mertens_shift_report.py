@@ -5,14 +5,15 @@ oscillation |M(n)|/sqrt(n) and the fitted running-max exponent.
 
 The two series are printed side by side without any verdict on whether
 the shift stays at the oscillation order; that comparison is the point
-of the report.
+of the report. The mu table is cached like the CLI's, under
+$MOBIUSLAB_CACHE_DIR or ./cache.
 
     python3 scripts/mertens_shift_report.py --max 10000000
 """
 
 import argparse
 
-from mobiuslab import mertens_series, mertens_walk_stats, sieve_moebius
+from mobiuslab import cli, mertens_walk_stats
 
 
 def main() -> None:
@@ -20,9 +21,8 @@ def main() -> None:
     parser.add_argument("--max", type=int, default=10**7)
     args = parser.parse_args()
 
-    print(f"sieving mu up to {args.max} ...")
-    table = sieve_moebius(args.max)
-    stats = mertens_walk_stats(args.max, mertens_series(table), table)
+    table = cli.ensure_table(args.max, cli.resolve_cache_dir(None))
+    stats = mertens_walk_stats(args.max, table)
 
     header = f"{'n':>12} {'M(n)':>8} {'|M|/sqrt(n)':>12} {'shift n*m^2':>14} {'run max':>8}"
     print(header)

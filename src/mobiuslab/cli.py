@@ -44,7 +44,6 @@ from mobiuslab.sieve import (
     MoebiusTable,
     ResourceLimitError,
     load_table,
-    mertens_series,
     save_table,
     sieve_moebius,
 )
@@ -153,7 +152,7 @@ def cmd_sieve(args: argparse.Namespace) -> int:
     args.cache_dir.mkdir(parents=True, exist_ok=True)
     path = args.cache_dir / f"moebius_{args.limit}.mobs"
     save_table(table, path)
-    squarefree = int((table.values[1:] != 0).sum())
+    squarefree = int(np.count_nonzero(table.values))  # values[0] is 0
     m_limit = int(table.values[1:].sum(dtype="int64"))
     print(f"limit={args.limit} squarefree={squarefree} M({args.limit})={m_limit} cache={path}")
     return 0
@@ -243,7 +242,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
     if args.limit < 1000:
         raise ValueError("--max must be >= 1000 to give enough checkpoints")
     table = ensure_table(args.limit, args.cache_dir)
-    stats = mertens_walk_stats(args.limit, mertens_series(table), table)
+    stats = mertens_walk_stats(args.limit, table)
     rows = [
         {
             "n": int(n),

@@ -1,9 +1,33 @@
 """Moebius and Mertens tables over large ranges.
 
-The sieve is segmented: each segment multiplies out the base primes
-(p <= sqrt(limit)), zeroes multiples of p^2, and flips the sign of
-entries that keep a leftover prime factor above the base-prime bound.
-Output is exact and independent of the segment size.
+The sieve is segmented, with base primes p <= B = max(isqrt(limit), 64).
+Each slot of a segment holds one uint8 accumulator, and each base prime
+makes one strided add of 2 L(p) + 1 to its multiples, where
+L(p) = round(2 log2 p). The low bit of the accumulator is then the number
+of base primes dividing n, mod 2, and acc >> 1 is S(n), the sum of L(p)
+over them. Multiples of p^2 are zeroed last. Output is exact and
+independent of the segment size.
+
+The leftover test. Let R(n) be the product of the base primes dividing a
+squarefree n <= limit. Any other prime factor q is above B >= isqrt(limit),
+so there is at most one: n = R(n) or n = R(n) q. Each L(p) is within 1/2
+of 2 log2 p, so S(n) is within omega/2 of 2 log2 R(n), where omega is the
+most distinct primes of any n <= limit (from the primorials). On the piece
+2^k <= n < 2^(k+1) of a segment:
+
+- with no leftover prime, R(n) = n >= 2^k, so S(n) >= 2k - omega/2;
+- with a leftover q >= B + 1, R(n) < 2^(k+1) / (B + 1), so
+  S(n) < 2k + 2 - 2 log2(B + 1) + omega/2, which is below 2k - omega/2
+  when 2 (log2(B + 1) - 1) > omega (the gap condition).
+
+So n has a leftover prime exactly when S(n) < 2k - omega/2, and
+mu(n) = (-1)^(parity XOR leftover). The distinct base primes dividing
+any n <= limit multiply to at most n, so its accumulator is at most
+2 (2 log2 limit + omega/2) + omega, and it cannot wrap while
+2 (2 log2(limit + 1) + omega/2) + omega < 255 (the overflow condition).
+sieve_moebius checks both conditions on every call and raises
+RuntimeError if either fails; the 64 floor on B keeps the gap condition
+true at small limits.
 
 Tables persist to a small versioned binary format (see save_table /
 load_table); save_table replaces a file in one rename, and a corrupted or
@@ -22,9 +46,12 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# Caps the output array plus per-segment scratch (int8 values, int64
-# residual products, int64 index block: 17 bytes per segment slot).
+# Caps the output array plus per-segment scratch.
 DEFAULT_MEMORY_BUDGET = 2 << 30
+# The uint8 accumulator and the bool leftover mask.
+_SCRATCH_BYTES_PER_SLOT = 2
+# Least base-prime bound B, so that the gap condition holds at small limits.
+_PRIME_FLOOR = 64
 
 CACHE_MAGIC = b"MOBS"
 CACHE_VERSION = 1
@@ -81,27 +108,60 @@ def _base_primes(bound: int) -> list[int]:
     return [int(p) for p in np.nonzero(flags)[0]]
 
 
-def _fill_segment(values: np.ndarray, lo: int, hi: int, primes: list[int]) -> None:
-    """Write mu(lo..hi-1) into values[lo:hi]."""
+def _omega_max(limit: int) -> int:
+    """The most distinct prime factors of any n <= limit: the largest j
+    whose primorial p_1 * ... * p_j is at most limit."""
+    count, primorial, p = 0, 1, 2
+    while primorial * p <= limit:
+        primorial *= p
+        count += 1
+        p += 1
+        while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            p += 1
+    return count
+
+
+def _check_margins(limit: int, bound: int, omega: int) -> None:
+    """Raise unless the leftover test is exact and the accumulator cannot wrap.
+
+    Integer forms of the gap condition 2 (log2(B + 1) - 1) > omega and the
+    overflow condition 4 log2(limit + 1) + 2 omega < 255.
+    """
+    if (bound + 1) ** 2 <= 1 << (omega + 2):
+        raise RuntimeError(
+            f"base-prime bound {bound} is too small to tell a leftover prime "
+            f"from rounding error at omega = {omega}"
+        )
+    if (limit + 1) ** 4 << 2 * omega >= 1 << 255:
+        raise RuntimeError(f"the uint8 log sum can overflow at limit {limit}")
+
+
+def _fill_segment(
+    values: np.ndarray, lo: int, hi: int, primes: list[int], weights: list[int], omega: int
+) -> None:
+    """Write mu(lo..hi-1) into values[lo:hi]; weights[i] is 2 L(primes[i]) + 1."""
     length = hi - lo
-    mu = np.ones(length, dtype=np.int8)
-    residual = np.ones(length, dtype=np.int64)
+    acc = np.zeros(length, dtype=np.uint8)
+    for p, w in zip(primes, weights):
+        start = (-lo) % p
+        if start < length:
+            acc[start::p] += w
+    leftover = np.empty(length, dtype=bool)
+    for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+        a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
+        # acc >> 1 < 2k - omega/2, on integers: acc < 2 ceil(2k - omega/2)
+        np.less(acc[a:b], max(4 * k - 2 * (omega // 2), 0), out=leftover[a:b])
+    acc &= 1
+    acc ^= leftover
+    mu = values[lo:hi]
+    mu[:] = acc
+    mu *= -2
+    mu += 1
     for p in primes:
-        start = ((lo + p - 1) // p) * p
-        if start < hi:
-            sl = slice(start - lo, length, p)
-            np.negative(mu[sl], out=mu[sl])
-            residual[sl] *= p
         p2 = p * p
-        start2 = ((lo + p2 - 1) // p2) * p2
-        if start2 < hi:
-            mu[start2 - lo : length : p2] = 0
-    # Entries whose residual product falls short of n carry exactly one
-    # prime factor above the base-prime bound: one more sign flip.
-    leftover = residual != np.arange(lo, hi, dtype=np.int64)
-    leftover &= mu != 0
-    mu[leftover] = -mu[leftover]
-    values[lo:hi] = mu
+        if p2 >= hi:
+            break
+        mu[(-lo) % p2 :: p2] = 0
 
 
 def sieve_moebius(
@@ -121,16 +181,22 @@ def sieve_moebius(
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
     seg = min(segment_size, limit)
-    needed = (limit + 1) + 17 * seg
+    needed = (limit + 1) + _SCRATCH_BYTES_PER_SLOT * seg
     if needed > memory_budget_bytes:
         raise ResourceLimitError(
             f"sieve of limit {limit} needs ~{needed} bytes, over the "
             f"memory budget of {memory_budget_bytes} bytes"
         )
+    bound = max(isqrt(limit), _PRIME_FLOOR)
+    omega = _omega_max(limit)
+    _check_margins(limit, bound, omega)
+    primes = _base_primes(bound)
+    # L(p) = round(2 log2 p) = round(log2(p^4) / 2) is bit_length(p^4) // 2
+    # exactly: log2(p^4) is never an odd integer, so there is no tie.
+    weights = [2 * ((p**4).bit_length() // 2) + 1 for p in primes]
     values = np.zeros(limit + 1, dtype=np.int8)
-    primes = _base_primes(isqrt(limit))
     for lo in range(1, limit + 1, seg):
-        _fill_segment(values, lo, min(lo + seg, limit + 1), primes)
+        _fill_segment(values, lo, min(lo + seg, limit + 1), primes, weights, omega)
     values.setflags(write=False)
     return MoebiusTable(limit=limit, values=values)
 

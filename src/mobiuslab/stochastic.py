@@ -19,7 +19,7 @@ import numpy as np
 
 from mobiuslab import rng
 from mobiuslab.probability import density_limits, harmonic_series, harmonic_series_many
-from mobiuslab.sieve import MertensSeries, MoebiusTable
+from mobiuslab.sieve import MoebiusTable
 
 MIN_TEST_LENGTH = 100
 
@@ -214,23 +214,26 @@ def checkpoint_grid(lo: int, hi: int) -> list[int]:
     return points
 
 
-def mertens_walk_stats(
-    limit: int, mertens: MertensSeries, mu_prefix: MoebiusTable
-) -> MertensWalkStats:
-    """Checkpointed |M| scaling plus the exact-rational shift series."""
+def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
+    """Checkpointed |M| scaling plus the exact-rational shift series.
+
+    M is read at the checkpoints as a running total of per-span sums of the
+    table, so no prefix array of the whole range is built.
+    """
     if limit < 1000:
         raise ValueError("limit must be >= 1000 to give enough checkpoints")
-    if mertens.limit < limit:
-        raise ValueError(f"Mertens series covers {mertens.limit}, need {limit}")
+    if mu_prefix.limit < limit:
+        raise ValueError(f"table covers {mu_prefix.limit}, need {limit}")
     points = checkpoint_grid(1000, limit)
     cutoffs = sorted({isqrt(n) for n in points})
-    if mu_prefix.limit < cutoffs[-1]:
-        raise ValueError(
-            f"prefix table covers {mu_prefix.limit}, shift terms need {cutoffs[-1]}"
-        )
     bank = harmonic_series_many(cutoffs, mu_prefix)
     checkpoints = np.array(points, dtype=np.int64)
-    m_values = mertens.prefix[checkpoints]
+    # A sum per span: np.add.reduceat(..., dtype=np.int64) would cast the whole table.
+    spans = [
+        mu_prefix.values[a + 1 : b + 1].sum(dtype=np.int64)
+        for a, b in zip([0] + points, points)
+    ]
+    m_values = np.cumsum(spans, dtype=np.int64)
     ratios = np.abs(m_values) / np.sqrt(checkpoints.astype(np.float64))
     shifts = np.array(
         [float(n * bank[isqrt(n)].m ** 2) for n in points], dtype=np.float64
@@ -324,9 +327,12 @@ def lag_autocorrelation(seq, lag: int, sequence: str = "sequence") -> TestReport
     n = arr.size
     if lag >= n:
         raise ValueError(f"lag {lag} must be below the sequence length {n}")
-    centered = arr.astype(np.float64) - arr.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
+    # With m = total / n, r is sum (x_i - m)(x_{i+lag} - m) / sum (x_i - m)^2.
+    # Both sums times n^2 are exact integers of the +/-1 entries, and the one
+    # int/int division rounds correctly, so r is the same on every BLAS and CPU.
+    total = int(arr.sum())
+    denom = n * (n * n - total * total)
+    if denom == 0:
         return TestReport(
             test="lag_autocorrelation",
             sequence=sequence,
@@ -335,7 +341,10 @@ def lag_autocorrelation(seq, lag: int, sequence: str = "sequence") -> TestReport
             z_score=0.0,
             lag=lag,
         )
-    r = float(np.dot(centered[:-lag], centered[lag:])) / denom
+    head = total - int(arr[-lag:].sum())  # sum of arr[:-lag]
+    tail = total - int(arr[:lag].sum())  # sum of arr[lag:]
+    products = 2 * int(np.count_nonzero(arr[:-lag] == arr[lag:])) - (n - lag)
+    r = (products * n * n - total * n * (head + tail) + (n - lag) * total * total) / denom
     z = r * math.sqrt(n)
     p_value = math.erfc(abs(z) / math.sqrt(2.0))
     return TestReport(

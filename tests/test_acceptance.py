@@ -193,7 +193,7 @@ def test_criterion_08_de_moivre_laplace():
 
 
 def test_criterion_09_mertens_desk_scale(table_10m, mertens_10m):
-    stats = mertens_walk_stats(10**7, mertens_10m, table_10m)
+    stats = mertens_walk_stats(10**7, table_10m)
     max_ratio = float(stats.ratios.max())
     oracle_m10 = sum(moebius_at(k) for k in range(1, 11))
     oracle_m100 = sum(moebius_at(k) for k in range(1, 101))

@@ -3,10 +3,12 @@ digests, so that a change to the code is checked against the exact bytes
 the CLI printed before it.
 
 Values that pass through BLAS or LAPACK can differ in the last bit on
-another BLAS build or CPU: the walk's np.polyfit alpha and residual, and
-the lag autocorrelation, which is an np.dot. They are cut out of the text
-before hashing and compared to 1e-12 relative instead; everything else is
-compared byte for byte.
+another BLAS build or CPU: the walk's np.polyfit alpha and residual. They
+are cut out of the text before hashing and compared to 1e-12 relative
+instead. So are the lag autocorrelation fields of mustats: they were
+pinned when r was an np.dot, and the exact ratio computed now differs
+from those pins in the last digits. Everything else is compared byte for
+byte.
 
 After a deliberate change of output, print the new table with
 

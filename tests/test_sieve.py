@@ -1,4 +1,5 @@
 import math
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiuslab import sieve as sieve_module
+from mobiuslab.sieve import DEFAULT_MEMORY_BUDGET, DEFAULT_SEGMENT_SIZE
 from mobiuslab import (
     CorruptCacheError,
     ResourceLimitError,
@@ -33,6 +35,51 @@ def mu_by_factorization(n: int) -> int:
     if n > 1:
         count += 1
     return -1 if count % 2 else 1
+
+
+def reference_fill_segment(values, lo, hi, primes):
+    """A residual-product kernel, the oracle for the log-sum kernel: multiply
+    out the base primes p <= isqrt(limit) in int64 and flip the sign of
+    entries whose product falls short of n."""
+    length = hi - lo
+    mu = np.ones(length, dtype=np.int8)
+    residual = np.ones(length, dtype=np.int64)
+    for p in primes:
+        start = ((lo + p - 1) // p) * p
+        if start < hi:
+            sl = slice(start - lo, length, p)
+            np.negative(mu[sl], out=mu[sl])
+            residual[sl] *= p
+        p2 = p * p
+        start2 = ((lo + p2 - 1) // p2) * p2
+        if start2 < hi:
+            mu[start2 - lo : length : p2] = 0
+    leftover = residual != np.arange(lo, hi, dtype=np.int64)
+    leftover &= mu != 0
+    mu[leftover] = -mu[leftover]
+    values[lo:hi] = mu
+
+
+def reference_sieve(limit, segment_size=DEFAULT_SEGMENT_SIZE):
+    values = np.zeros(limit + 1, dtype=np.int8)
+    primes = sieve_module._base_primes(isqrt(limit))
+    for lo in range(1, limit + 1, segment_size):
+        reference_fill_segment(values, lo, min(lo + segment_size, limit + 1), primes)
+    return values
+
+
+@pytest.fixture(scope="module")
+def reference_3000():
+    return reference_sieve(3000)
+
+
+@pytest.fixture(scope="module")
+def reference_10m():
+    return reference_sieve(10**7)
+
+
+# omega, the most distinct primes of any n <= limit, steps up at the primorials 210 and 2310
+SMALL_SEGMENT_LIMITS = [*range(1, 257), 2309, 2310, 2311, 3000]
 
 
 class TestSieve:
@@ -96,6 +143,60 @@ class TestSieve:
     def test_memory_budget_enforced(self):
         with pytest.raises(ResourceLimitError, match="1000000 bytes"):
             sieve_moebius(10**8, memory_budget_bytes=10**6)
+
+
+class TestLogSumKernel:
+    """The uint8 log-sum kernel against the residual-product reference."""
+
+    @pytest.mark.parametrize("segment_size", [1, 7, DEFAULT_SEGMENT_SIZE])
+    def test_matches_reference_at_small_limits(self, reference_3000, segment_size):
+        # segment sizes 1 and 7 cost one kernel call per few entries at every
+        # limit, so they run on every limit up to 256 and around omega's last step
+        limits = range(1, 3001) if segment_size == DEFAULT_SEGMENT_SIZE else SMALL_SEGMENT_LIMITS
+        for limit in limits:
+            got = sieve_moebius(limit, segment_size=segment_size).values
+            assert np.array_equal(got, reference_3000[: limit + 1]), limit
+
+    @pytest.mark.parametrize("segment_size", [1 << 16, 1 << 20, 1 << 22])
+    def test_matches_reference_at_1e7(self, reference_10m, segment_size):
+        got = sieve_moebius(10**7, segment_size=segment_size).values
+        assert np.array_equal(got, reference_10m)
+
+    def test_matches_reference_with_segments_below_the_prime_bound(self):
+        # 2^10-wide segments at 2e6: base primes up to 1414 step over whole segments
+        limit = 2 * 10**6
+        got = sieve_moebius(limit, segment_size=1 << 10).values
+        assert np.array_equal(got, reference_sieve(limit))
+
+    def test_omega_max_against_distinct_prime_counts(self):
+        limit = 10**5
+        counts = np.zeros(limit + 1, dtype=np.int64)
+        for p in sieve_module._base_primes(limit):
+            counts[p::p] += 1
+        most = np.maximum.accumulate(counts)
+        assert [sieve_module._omega_max(n) for n in range(1, limit + 1)] == most[1:].tolist()
+
+    def test_margins_hold_up_to_the_budget(self):
+        # the largest limit the default budget admits, and the first it refuses
+        top = DEFAULT_MEMORY_BUDGET - 1 - 2 * DEFAULT_SEGMENT_SIZE
+        with pytest.raises(ResourceLimitError):
+            sieve_moebius(top + 1)
+        for limit in [1 << j for j in range(top.bit_length())] + [top]:
+            bound = max(isqrt(limit), sieve_module._PRIME_FLOOR)
+            omega = sieve_module._omega_max(limit)
+            assert 2 * (math.log2(bound + 1) - 1) > omega, limit
+            assert 2 * (2 * math.log2(limit + 1) + omega / 2) + omega < 255, limit
+            sieve_module._check_margins(limit, bound, omega)
+
+    def test_gap_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(sieve_module, "_PRIME_FLOOR", 1)
+        with pytest.raises(RuntimeError, match="too small"):
+            sieve_moebius(6)
+
+    def test_overflow_guard_raises(self):
+        limit = 1 << 60
+        with pytest.raises(RuntimeError, match="overflow"):
+            sieve_module._check_margins(limit, isqrt(limit), sieve_module._omega_max(limit))
 
 
 class TestMoebiusAt:

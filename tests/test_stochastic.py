@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -181,26 +182,36 @@ class TestMertensWalk:
         assert all(b > a for a, b in zip(points, points[1:]))
 
     def test_stats_cross_module_consistency(self, table_10m, mertens_10m):
-        stats = mertens_walk_stats(10**6, mertens_10m, table_10m)
+        stats = mertens_walk_stats(10**6, table_10m)
         for n, m in zip(stats.checkpoints, stats.m_values):
             assert int(m) == mertens_10m.m(int(n))
 
-    def test_ratios_below_one_at_desk_scale(self, table_10m, mertens_10m):
-        stats = mertens_walk_stats(10**7, mertens_10m, table_10m)
+    def test_ratios_below_one_at_desk_scale(self, table_10m):
+        stats = mertens_walk_stats(10**7, table_10m)
         assert float(stats.ratios.max()) < 1.0
         assert 0.3 <= stats.alpha <= 0.7
 
-    def test_running_max_is_monotone(self, table_10m, mertens_10m):
-        stats = mertens_walk_stats(10**6, mertens_10m, table_10m)
+    def test_running_max_is_monotone(self, table_10m):
+        stats = mertens_walk_stats(10**6, table_10m)
         assert np.all(np.diff(stats.running_max) >= 0)
         assert np.all(stats.running_max >= np.abs(stats.m_values[0]))
 
-    def test_limit_validation(self, table_10m, mertens_10m):
+    def test_walk_builds_no_prefix_array(self, table_10m):
+        # an int32 prefix of the 1e7 table alone would be 40 MB
+        tracemalloc.start()
+        try:
+            mertens_walk_stats(10**7, table_10m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_limit_validation(self, table_10m):
         with pytest.raises(ValueError):
-            mertens_walk_stats(999, mertens_10m, table_10m)
-        small = mertens_series(sieve_moebius(2000))
+            mertens_walk_stats(999, table_10m)
+        small = sieve_moebius(2000)
         with pytest.raises(ValueError):
-            mertens_walk_stats(10**6, small, table_10m)
+            mertens_walk_stats(10**6, small)
 
     def test_shift_term_closed_forms(self, table_10k):
         # m_3 = 1/6 so the shift is n/36 while floor(sqrt(n)) = 3
@@ -238,6 +249,17 @@ class TestRandomnessTests:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             chi_square_balance(np.zeros(200, dtype=np.int8))
+
+    @pytest.mark.parametrize("seed, lag", [(0, 1), (1, 2), (2, 5), (3, 150)])
+    def test_lag_autocorrelation_is_the_rounded_exact_ratio(self, seed, lag):
+        # the sample autocorrelation in exact rationals, rounded once
+        seq = coin_sign_sequence(200, seed=seed, p_plus=0.6)
+        x = [int(v) for v in seq]
+        mean = Fraction(sum(x), len(x))
+        centered = [v - mean for v in x]
+        num = sum(a * b for a, b in zip(centered[:-lag], centered[lag:]))
+        den = sum(c * c for c in centered)
+        assert lag_autocorrelation(seq, lag).statistic == float(num / den)
 
     def test_lag_validation(self):
         seq = coin_sign_sequence(200, seed=0)

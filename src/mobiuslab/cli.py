@@ -33,6 +33,7 @@ import numpy as np
 from mobiuslab.identity import identity_blocks
 from mobiuslab.probability import (
     delta_prob,
+    density_limits,
     harmonic_series,
     interval_of,
     prob_triple_even,
@@ -53,12 +54,12 @@ from mobiuslab.stochastic import (
     chi_square_balance,
     coin_sign_sequence,
     coin_walk_simulate,
-    empirical_frequencies,
     lag_autocorrelation,
     mertens_walk_stats,
     normal_cdf,
     runs_test,
     sign_sequence_squarefree,
+    span_counts,
 )
 
 CACHE_ENV_VAR = "MOBIUSLAB_CACHE_DIR"
@@ -122,6 +123,17 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv_text(header: list[str], rows: list[dict], trailer: str = "") -> str:
+    """CSV of the header keys of each row, floats to 12 digits, then the trailer."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(_fmt_float(row[k]) if isinstance(row[k], float) else row[k] for k in header)
+    buffer.write(trailer)
+    return buffer.getvalue()
+
+
 @contextmanager
 def _unlimited_int_digits():
     """Lift the interpreter's int/str digit limit, restoring it on exit.
@@ -152,8 +164,8 @@ def cmd_sieve(args: argparse.Namespace) -> int:
     args.cache_dir.mkdir(parents=True, exist_ok=True)
     path = args.cache_dir / f"moebius_{args.limit}.mobs"
     save_table(table, path)
-    squarefree = int(np.count_nonzero(table.values))  # values[0] is 0
-    m_limit = int(table.values[1:].sum(dtype="int64"))
+    minus, plus, _ = span_counts([1, args.limit + 1], "all", table)[0].tolist()
+    squarefree, m_limit = minus + plus, plus - minus
     print(f"limit={args.limit} squarefree={squarefree} M({args.limit})={m_limit} cache={path}")
     return 0
 
@@ -205,36 +217,23 @@ def cmd_probs(args: argparse.Namespace) -> int:
 def cmd_density(args: argparse.Namespace) -> int:
     table = ensure_table(args.limit, args.cache_dir)
     if args.window:
-        edges = list(range(1, args.limit + 1, args.window))
-        spans = [(a, min(a + args.window, args.limit + 1)) for a in edges]
+        edges = list(range(1, args.limit + 1, args.window)) + [args.limit + 1]
+        counts = span_counts(edges, args.parity, table)
     else:
-        spans = [(1, n + 1) for n in checkpoint_grid(10, args.limit - 1) + [args.limit]]
+        edges = [1] + [n + 1 for n in checkpoint_grid(10, args.limit - 1) + [args.limit]]
+        counts = np.cumsum(span_counts(edges, args.parity, table), axis=0)
+    limit_value = density_limits()[args.parity].value
     rows = []
-    for a, b in spans:
-        if args.parity != "all" and not any(n % 2 == (args.parity == "odd") for n in range(a, b)):
+    for b, (minus, plus, total) in zip(edges[1:], counts.tolist()):
+        if total == 0:
             continue  # window holds no integers of this parity
-        report = empirical_frequencies(a, b, args.parity, table)
-        rows.append(
-            {
-                "n": b - 1,
-                "freq_minus": report.freq_minus,
-                "freq_plus": report.freq_plus,
-                "freq_zero": report.freq_zero,
-                "freq_squarefree": report.freq_squarefree,
-                "limit": report.limit_value,
-            }
-        )
+        zero = total - minus - plus
+        freqs = [minus / total, plus / total, zero / total, (minus + plus) / total]
+        rows.append(dict(zip(DENSITY_CSV_HEADER, [b - 1, *freqs, limit_value])))
     if args.fmt == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
         return 0
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(DENSITY_CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [row["n"]] + [_fmt_float(row[key]) for key in DENSITY_CSV_HEADER[1:]]
-        )
-    _emit(buffer.getvalue(), args.out)
+    _emit(_csv_text(DENSITY_CSV_HEADER, rows), args.out)
     return 0
 
 
@@ -244,13 +243,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
     table = ensure_table(args.limit, args.cache_dir)
     stats = mertens_walk_stats(args.limit, table)
     rows = [
-        {
-            "n": int(n),
-            "M": int(m),
-            "sqrt_n": float(n) ** 0.5,
-            "ratio": float(ratio),
-            "shift_term": float(shift),
-        }
+        dict(zip(WALK_CSV_HEADER, [int(n), int(m), float(n) ** 0.5, float(ratio), float(shift)]))
         for n, m, ratio, shift in zip(
             stats.checkpoints, stats.m_values, stats.ratios, stats.shift_terms
         )
@@ -259,18 +252,8 @@ def cmd_walk(args: argparse.Namespace) -> int:
         payload = {"rows": rows, "alpha": stats.alpha, "residual": stats.fit_residual}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(WALK_CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [row["n"], row["M"]]
-            + [_fmt_float(row[key]) for key in ("sqrt_n", "ratio", "shift_term")]
-        )
-    buffer.write(
-        f"# alpha={_fmt_float(stats.alpha)} residual={_fmt_float(stats.fit_residual)}\n"
-    )
-    _emit(buffer.getvalue(), args.out)
+    trailer = f"# alpha={_fmt_float(stats.alpha)} residual={_fmt_float(stats.fit_residual)}\n"
+    _emit(_csv_text(WALK_CSV_HEADER, rows, trailer), args.out)
     return 0
 
 

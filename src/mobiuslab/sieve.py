@@ -235,8 +235,16 @@ def mertens_series(table: MoebiusTable) -> MertensSeries:
     """Prefix sums of the table; M(n) - M(n-1) = mu(n).
 
     int32 is ample: |M(n)| stays in the tens of thousands across the
-    supported range (it is ~1.9e3 at n = 10^8).
+    supported range (it is ~1.9e3 at n = 10^8). The table and the 4-byte
+    prefix entries are charged to the memory budget; ResourceLimitError
+    when over.
     """
+    needed = table.values.nbytes + 4 * (table.limit + 1)
+    if needed > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"Mertens prefix of limit {table.limit} needs ~{needed} bytes, over the "
+            f"memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
+        )
     prefix = np.zeros(table.limit + 1, dtype=np.int32)
     np.cumsum(table.values[1:], dtype=np.int32, out=prefix[1:])
     prefix.setflags(write=False)

@@ -19,9 +19,14 @@ import numpy as np
 
 from mobiuslab import rng
 from mobiuslab.probability import density_limits, harmonic_series, harmonic_series_many
-from mobiuslab.sieve import MoebiusTable
+from mobiuslab.sieve import DEFAULT_MEMORY_BUDGET, MoebiusTable, ResourceLimitError
 
 MIN_TEST_LENGTH = 100
+# Words per block of coin-walk trials are capped at this many bytes, and at 4096 trials.
+_COIN_BLOCK_BYTES = 16 << 20
+# rng.uniforms holds three uint64 arrays as long as a synthetic sequence at its
+# peak; the +/-1 tests later hold the int8 sequence and 17 bytes per entry of copies.
+_COIN_SEQUENCE_BYTES_PER_ENTRY = 24
 
 
 @dataclass(frozen=True)
@@ -78,30 +83,42 @@ class MertensWalkStats:
     fit_residual: float  # rms residual of the fit
 
 
-def _parity_slice(a: int, b: int, parity: str) -> tuple[int, int, int]:
+def _parity_view(a: int, b: int, parity: str, table: MoebiusTable) -> np.ndarray:
+    """The table entries of the integers of a parity class in [a, b), as a view."""
+    if not 1 <= a < b <= table.limit + 1:
+        raise ValueError(f"need 1 <= a < b <= {table.limit + 1}, got [{a}, {b})")
     if parity == "all":
-        return a, b, 1
-    if parity == "odd":
-        return (a if a % 2 else a + 1), b, 2
-    if parity == "even":
-        return (a if a % 2 == 0 else a + 1), b, 2
-    raise ValueError(f"parity must be all, odd, or even, not {parity!r}")
+        return table.values[a:b]
+    if parity not in ("odd", "even"):
+        raise ValueError(f"parity must be all, odd, or even, not {parity!r}")
+    first = a if a % 2 == (parity == "odd") else a + 1
+    return table.values[first:b:2]
+
+
+def span_counts(edges, parity: str, table: MoebiusTable) -> np.ndarray:
+    """Row i is (minus, plus, total) over the parity class in [edges[i], edges[i+1]):
+    how many members have mu = -1, mu = +1, and how many there are.
+
+    Each span is read through a view with one int64 sum (plus - minus) and one
+    count_nonzero (plus + minus), so nothing as long as a span is allocated.
+    """
+    rows = []
+    for a, b in zip(edges, edges[1:]):
+        view = _parity_view(a, b, parity, table)
+        signed = int(view.sum(dtype=np.int64))
+        nonzero = np.count_nonzero(view)
+        rows.append(((nonzero - signed) // 2, (nonzero + signed) // 2, view.size))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def empirical_frequencies(
     a: int, b: int, parity: str, table: MoebiusTable
 ) -> FrequencyReport:
     """Exact outcome counts for mu over the integers of a parity class in [a, b)."""
-    if not 1 <= a < b <= table.limit + 1:
-        raise ValueError(f"need 1 <= a < b <= {table.limit + 1}, got [{a}, {b})")
-    start, stop, step = _parity_slice(a, b, parity)
-    sub = table.values[start:stop:step]
-    if sub.size == 0:
+    minus, plus, total = span_counts([a, b], parity, table)[0].tolist()
+    if total == 0:
         raise ValueError(f"range [{a}, {b}) holds no {parity} integers")
-    minus = int(np.count_nonzero(sub == -1))
-    plus = int(np.count_nonzero(sub == 1))
-    zero = sub.size - minus - plus
-    total = sub.size
+    zero = total - minus - plus
     return FrequencyReport(
         lower=a,
         upper=b,
@@ -121,10 +138,7 @@ def sign_sequence_squarefree(
     a: int, b: int, parity: str, table: MoebiusTable
 ) -> np.ndarray:
     """mu over the squarefree integers of a parity class in [a, b), zeros dropped."""
-    if not 1 <= a < b <= table.limit + 1:
-        raise ValueError(f"need 1 <= a < b <= {table.limit + 1}, got [{a}, {b})")
-    start, stop, step = _parity_slice(a, b, parity)
-    sub = table.values[start:stop:step]
+    sub = _parity_view(a, b, parity, table)
     return sub[sub != 0]
 
 
@@ -136,6 +150,12 @@ def coin_sign_sequence(
         raise ValueError("length must be >= 1")
     if not 0.0 < p_plus < 1.0:
         raise ValueError("p_plus must be in (0, 1)")
+    needed = _COIN_SEQUENCE_BYTES_PER_ENTRY * length
+    if needed > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"a coin sequence of length {length} needs ~{needed} bytes, over the "
+            f"memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
+        )
     u = rng.uniforms(seed, stream, length)
     return np.where(u < p_plus, 1, -1).astype(np.int8)
 
@@ -147,16 +167,23 @@ def coin_walk_terminals(steps: int, trials: int, seed: int) -> np.ndarray:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     nwords = (steps + 63) // 64
+    chunk = max(1, min(4096, _COIN_BLOCK_BYTES // (8 * nwords)))
+    # The terminals, plus mix64's peak: two blocks of words and the counters.
+    needed = 8 * trials + (2 * min(chunk, trials) + 1) * 8 * nwords
+    if needed > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{trials} walks of {steps} steps need ~{needed} bytes, over the "
+            f"memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
+        )
     rem = steps % 64
     mask = np.uint64((1 << rem) - 1) if rem else np.uint64(0xFFFFFFFFFFFFFFFF)
     out = np.empty(trials, dtype=np.int64)
-    chunk = 4096
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
         block = rng.word_block(seed, np.arange(lo, hi, dtype=np.uint64), nwords)
         block[:, -1] &= mask
-        ones = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
-        out[lo:hi] = 2 * ones - steps
+        out[lo:hi] = 2 * np.bitwise_count(block).sum(axis=1, dtype=np.int64) - steps
+        del block  # else it sits beside the next block's words
     return out
 
 
@@ -217,7 +244,7 @@ def checkpoint_grid(lo: int, hi: int) -> list[int]:
 def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
     """Checkpointed |M| scaling plus the exact-rational shift series.
 
-    M is read at the checkpoints as a running total of per-span sums of the
+    M is read at the checkpoints as a running total of per-span counts of the
     table, so no prefix array of the whole range is built.
     """
     if limit < 1000:
@@ -228,12 +255,8 @@ def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
     cutoffs = sorted({isqrt(n) for n in points})
     bank = harmonic_series_many(cutoffs, mu_prefix)
     checkpoints = np.array(points, dtype=np.int64)
-    # A sum per span: np.add.reduceat(..., dtype=np.int64) would cast the whole table.
-    spans = [
-        mu_prefix.values[a + 1 : b + 1].sum(dtype=np.int64)
-        for a, b in zip([0] + points, points)
-    ]
-    m_values = np.cumsum(spans, dtype=np.int64)
+    counts = span_counts([1] + [n + 1 for n in points], "all", mu_prefix)
+    m_values = np.cumsum(counts[:, 1] - counts[:, 0])
     ratios = np.abs(m_values) / np.sqrt(checkpoints.astype(np.float64))
     shifts = np.array(
         [float(n * bank[isqrt(n)].m ** 2) for n in points], dtype=np.float64

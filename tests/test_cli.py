@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -222,6 +223,23 @@ class TestDensityCommand:
         assert rows[-1]["n"] == 50
         assert set(rows[0]) == {"n", "freq_minus", "freq_plus", "freq_zero", "freq_squarefree", "limit"}
 
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_memory_stays_near_the_table(self, capsys, tmp_path, table_10m, parity):
+        save_table(table_10m, tmp_path / "moebius_10000000.mobs")
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys,
+                "density", "--max", "10000000", "--parity", parity,
+                "--cache-dir", str(tmp_path),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "sieving" not in err
+        assert peak < table_10m.values.nbytes + 4 * 2**20
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "density.csv"
         code, out, _ = run(
@@ -282,6 +300,12 @@ class TestCointossCommand:
         payload = json.loads(out)
         assert payload["theoretical_within_c"] == pytest.approx(0.9500042, abs=1e-6)
 
+    def test_over_budget_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "cointoss", "--steps", str(10**12), "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err
+
     def test_bad_c_rejected(self, capsys):
         code, _, err = run(
             capsys, "cointoss", "--steps", "10", "--trials", "10", "--c", "-1.0"
@@ -323,6 +347,12 @@ class TestMustatsCommand:
         chi = next(r for r in reports if r["test"] == "chi_square_balance")
         assert chi["p_value"] < 0.01
         assert "coin" in chi["sequence"]
+
+    def test_synthetic_over_budget_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "mustats", "--range", f"1:{10**11}", "--synthetic")
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err
 
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

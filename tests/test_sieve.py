@@ -10,6 +10,7 @@ from mobiuslab import sieve as sieve_module
 from mobiuslab.sieve import DEFAULT_MEMORY_BUDGET, DEFAULT_SEGMENT_SIZE
 from mobiuslab import (
     CorruptCacheError,
+    MoebiusTable,
     ResourceLimitError,
     load_table,
     mertens_series,
@@ -245,6 +246,12 @@ class TestMertens:
         series = mertens_series(table_10k)
         with pytest.raises(ValueError):
             series.m(table_10k.limit + 1)
+
+    def test_memory_budget_enforced(self):
+        # a broadcast view reports 0.5 GiB without allocating it; the prefix adds 2 GiB
+        huge = np.broadcast_to(np.int8(0), (2**29 + 1,))
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            mertens_series(MoebiusTable(limit=2**29, values=huge))
 
 
 class TestCacheFormat:

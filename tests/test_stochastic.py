@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuslab import mertens_series, sieve_moebius
+from mobiuslab import ResourceLimitError, mertens_series, rng, sieve_moebius
 from mobiuslab.stochastic import (
+    _COIN_BLOCK_BYTES,
     MIN_TEST_LENGTH,
     checkpoint_grid,
     chi_square_balance,
@@ -22,6 +24,7 @@ from mobiuslab.stochastic import (
     runs_test,
     shift_term,
     sign_sequence_squarefree,
+    span_counts,
 )
 
 
@@ -78,6 +81,34 @@ class TestFrequencies:
     def test_range_outside_table(self, table_10k):
         with pytest.raises(ValueError):
             empirical_frequencies(1, table_10k.limit + 2, "all", table_10k)
+
+
+class TestSpanCounts:
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_matches_python_count(self, table_10k, parity):
+        top = table_10k.limit + 1
+        # one-wide spans at 4 and 5: one of them holds no member of a parity class
+        inner = random.Random(parity).sample(range(6, top), 60) + [4, 5, 6]
+        edges = [1] + sorted(set(inner)) + [top]
+        member = {"all": lambda n: True, "odd": lambda n: n % 2, "even": lambda n: n % 2 == 0}
+        mu = table_10k.values.tolist()
+        expected = []
+        for a, b in zip(edges, edges[1:]):
+            signs = [mu[n] for n in range(a, b) if member[parity](n)]
+            expected.append([signs.count(-1), signs.count(1), len(signs)])
+        got = span_counts(edges, parity, table_10k)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+        assert span_counts([7], parity, table_10k).shape == (0, 3)
+        if parity != "all":
+            assert [0, 0, 0] in expected
+
+    @pytest.mark.parametrize(
+        "edges", [[5, 5], [1, 7, 3], [0, 10], [1, 10**4 + 2]]
+    )
+    def test_bad_edges_rejected(self, table_10k, edges):
+        with pytest.raises(ValueError):
+            span_counts(edges, "all", table_10k)
 
 
 class TestSignSequences:
@@ -146,6 +177,29 @@ class TestCoinWalks:
             coin_walk_simulate(10, 10, 0, 0.0, 0.1)
         with pytest.raises(ValueError):
             coin_walk_simulate(10, 10, 0, 1.0, 0.0)
+
+    def test_blocks_capped_by_row_length(self):
+        # 65537 words a row, so a block holds 31 trials where it used to hold 4096
+        steps, trials, seed = 64 * 2**16 + 5, 70, 9
+        tracemalloc.start()
+        try:
+            terminals = coin_walk_terminals(steps, trials, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _COIN_BLOCK_BYTES + 4 * 2**20
+        for k in (0, 30, 31, 62, 69):  # both sides of each block boundary
+            words = rng.word_block(seed, [k], (steps + 63) // 64)[0]
+            words[-1] &= np.uint64((1 << 5) - 1)
+            assert terminals[k] == 2 * int(np.bitwise_count(words).sum()) - steps
+
+    def test_over_budget_sizes_raise_before_allocating(self):
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            coin_walk_terminals(10**12, 1, seed=0)
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            coin_walk_terminals(64, 10**12, seed=0)
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            coin_sign_sequence(10**11, seed=0)
 
     def test_biased_coin_sequences(self):
         seq = coin_sign_sequence(10**4, seed=0, p_plus=0.9)

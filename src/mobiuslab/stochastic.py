@@ -18,7 +18,7 @@ from math import isqrt
 import numpy as np
 
 from mobiuslab import rng
-from mobiuslab.probability import density_limits, harmonic_series, harmonic_series_many
+from mobiuslab.probability import _numerators, density_limits
 from mobiuslab.sieve import DEFAULT_MEMORY_BUDGET, MoebiusTable, ResourceLimitError
 
 MIN_TEST_LENGTH = 100
@@ -226,8 +226,10 @@ def shift_term(n: int, mu_prefix: MoebiusTable) -> Fraction:
     """Systematic Mertens drift estimate n * m_K^2 at K = floor(sqrt(n))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    series = harmonic_series(isqrt(n), mu_prefix)
-    return n * series.m**2
+    cutoff = isqrt(n)
+    big, numerators = _numerators([cutoff], mu_prefix, full=False)
+    a = numerators[cutoff][0]
+    return Fraction(n * a * a, big * big)
 
 
 def checkpoint_grid(lo: int, hi: int) -> list[int]:
@@ -242,7 +244,8 @@ def checkpoint_grid(lo: int, hi: int) -> list[int]:
 
 
 def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
-    """Checkpointed |M| scaling plus the exact-rational shift series.
+    """Checkpointed |M| scaling plus the shift series, each term the correctly
+    rounded float of the exact n * m_K^2.
 
     M is read at the checkpoints as a running total of per-span counts of the
     table, so no prefix array of the whole range is built.
@@ -253,13 +256,16 @@ def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
         raise ValueError(f"table covers {mu_prefix.limit}, need {limit}")
     points = checkpoint_grid(1000, limit)
     cutoffs = sorted({isqrt(n) for n in points})
-    bank = harmonic_series_many(cutoffs, mu_prefix)
+    big, numerators = _numerators(cutoffs, mu_prefix, full=False)
     checkpoints = np.array(points, dtype=np.int64)
     counts = span_counts([1] + [n + 1 for n in points], "all", mu_prefix)
     m_values = np.cumsum(counts[:, 1] - counts[:, 0])
     ratios = np.abs(m_values) / np.sqrt(checkpoints.astype(np.float64))
+    # n a^2 / P^2 is n m^2 exactly, and int/int true division rounds it
+    # correctly: the same double as float(n * m**2), with no gcd.
+    big2 = big * big
     shifts = np.array(
-        [float(n * bank[isqrt(n)].m ** 2) for n in points], dtype=np.float64
+        [n * numerators[isqrt(n)][0] ** 2 / big2 for n in points], dtype=np.float64
     )
     running_max = np.maximum.accumulate(np.abs(m_values))
     log_n = np.log(checkpoints.astype(np.float64))
@@ -279,7 +285,13 @@ def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
 
 
 def _as_sign_array(seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int64)
+    """seq as a checked +/-1 array: an int8 array as it is, with no copy (the
+    tests count and compare its entries, and sum it in int64), any other
+    input converted to int64."""
+    if isinstance(seq, np.ndarray) and seq.dtype == np.int8:
+        arr = seq
+    else:
+        arr = np.asarray(seq, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
     if arr.size and not np.all(np.abs(arr) == 1):
@@ -353,7 +365,7 @@ def lag_autocorrelation(seq, lag: int, sequence: str = "sequence") -> TestReport
     # With m = total / n, r is sum (x_i - m)(x_{i+lag} - m) / sum (x_i - m)^2.
     # Both sums times n^2 are exact integers of the +/-1 entries, and the one
     # int/int division rounds correctly, so r is the same on every BLAS and CPU.
-    total = int(arr.sum())
+    total = int(arr.sum(dtype=np.int64))
     denom = n * (n * n - total * total)
     if denom == 0:
         return TestReport(
@@ -364,8 +376,8 @@ def lag_autocorrelation(seq, lag: int, sequence: str = "sequence") -> TestReport
             z_score=0.0,
             lag=lag,
         )
-    head = total - int(arr[-lag:].sum())  # sum of arr[:-lag]
-    tail = total - int(arr[:lag].sum())  # sum of arr[lag:]
+    head = total - int(arr[-lag:].sum(dtype=np.int64))  # sum of arr[:-lag]
+    tail = total - int(arr[:lag].sum(dtype=np.int64))  # sum of arr[lag:]
     products = 2 * int(np.count_nonzero(arr[:-lag] == arr[lag:])) - (n - lag)
     r = (products * n * n - total * n * (head + tail) + (n - lag) * total * total) / denom
     z = r * math.sqrt(n)

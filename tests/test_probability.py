@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from mobiuslab import sieve_moebius
 from mobiuslab.probability import (
+    HarmonicMuSeries,
+    _BLOCK,
+    _numerators,
     delta_prob,
     density_limits,
     harmonic_series,
@@ -21,6 +24,81 @@ from mobiuslab.probability import (
 )
 
 F = Fraction
+
+
+def reference_numerators(cutoffs, table):
+    """The per-i oracle for the block accumulator: numerators over
+    L = lcm(1..K) and L^2, one term mu(i) * (L // i) at a time."""
+    wanted = set(cutoffs)
+    lcm = math.lcm(*range(1, max(wanted) + 1))
+    lcm2 = lcm * lcm
+    out = {}
+    a = a_odd = b = b_odd = 0
+    for i in range(1, max(wanted) + 1):
+        mu_i = int(table.values[i])
+        if mu_i:
+            term_m = mu_i * (lcm // i)
+            term_s2 = mu_i * (lcm2 // (i * i))
+            a += term_m
+            b += term_s2
+            if i % 2:
+                a_odd += term_m
+                b_odd += term_s2
+        if i in wanted:
+            out[i] = (a, a_odd, b, b_odd)
+    return lcm, out
+
+
+def assert_numerators_match_reference(cutoffs, table):
+    """Both sides name the same four rationals at every cutoff, checked by
+    cross-multiplying; the m-only pass gives the same a and zeros."""
+    big, got = _numerators(cutoffs, table, full=True)
+    lcm, want = reference_numerators(cutoffs, table)
+    _, m_only = _numerators(cutoffs, table, full=False)
+    assert sorted(got) == sorted(want) == sorted(m_only)
+    for k, (a, a_odd, b, b_odd) in want.items():
+        ga, ga_odd, gb, gb_odd = got[k]
+        assert ga * lcm == a * big and ga_odd * lcm == a_odd * big, k
+        assert gb * lcm**2 == b * big**2 and gb_odd * lcm**2 == b_odd * big**2, k
+        assert m_only[k] == (ga, 0, 0, 0), k
+
+
+class TestBlockAccumulator:
+    def test_every_cutoff_to_3000(self, table_10k):
+        assert_numerators_match_reference(range(1, 3001), table_10k)
+
+    def test_cutoffs_at_block_edges(self, table_10k):
+        edges = [j * _BLOCK + d for j in range(1, 12) for d in (-1, 0, 1)]
+        assert_numerators_match_reference(edges, table_10k)
+        for k in edges:
+            assert_numerators_match_reference([k], table_10k)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_cutoff_sets(self, table_100k, seed):
+        rng = random.Random(seed)
+        cutoffs = rng.sample(range(1, 10**4 + 1), 200)
+        assert_numerators_match_reference(cutoffs, table_100k)
+        bank = harmonic_series_many(cutoffs, table_100k)
+        lcm, want = reference_numerators(cutoffs, table_100k)
+        for k in rng.sample(cutoffs, 3):
+            a, a_odd, b, b_odd = want[k]
+            assert bank[k] == HarmonicMuSeries(
+                k, F(a, lcm), F(a_odd, lcm), F(b, lcm**2), F(b_odd, lcm**2)
+            )
+
+    def test_denominator_is_lcm_of_squarefree(self, table_10k):
+        lcm = 1
+        for k in range(1, 2001):
+            if table_10k.values[k]:
+                lcm = math.lcm(lcm, k)
+            assert _numerators([k], table_10k, full=False)[0] == lcm, k
+
+    def test_validation(self, table_10k):
+        assert _numerators([], table_10k, full=True) == (1, {})
+        with pytest.raises(ValueError):
+            _numerators([0, 5], table_10k, full=True)
+        with pytest.raises(ValueError):
+            _numerators([10**4 + 1], table_10k, full=False)
 
 
 class TestHarmonicSeries:

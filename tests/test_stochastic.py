@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuslab import ResourceLimitError, mertens_series, rng, sieve_moebius
+from mobiuslab import ResourceLimitError, harmonic_series, mertens_series, rng, sieve_moebius
 from mobiuslab.stochastic import (
     _COIN_BLOCK_BYTES,
     MIN_TEST_LENGTH,
@@ -267,6 +267,12 @@ class TestMertensWalk:
         with pytest.raises(ValueError):
             mertens_walk_stats(10**6, small)
 
+    def test_shift_terms_are_the_rounded_exact_series(self):
+        table = sieve_moebius(10**6)
+        stats = mertens_walk_stats(10**6, table)
+        for n, shift in zip(stats.checkpoints.tolist(), stats.shift_terms.tolist()):
+            assert shift == float(n * harmonic_series(math.isqrt(n), table).m ** 2), n
+
     def test_shift_term_closed_forms(self, table_10k):
         # m_3 = 1/6 so the shift is n/36 while floor(sqrt(n)) = 3
         for n in range(9, 16):
@@ -299,6 +305,28 @@ class TestRandomnessTests:
         ):
             with pytest.raises(ValueError, match=str(MIN_TEST_LENGTH)):
                 call()
+
+    def test_int8_sequences_are_not_copied(self):
+        # an int64 copy alone would take 8 bytes per entry
+        seq = coin_sign_sequence(10**6, 5)
+        tests = [lambda: chi_square_balance(seq), lambda: runs_test(seq)]
+        tests += [lambda lag=lag: lag_autocorrelation(seq, lag) for lag in (1, 2, 3)]
+        for test in tests:
+            tracemalloc.start()
+            try:
+                test()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * seq.size
+        wide = seq.astype(np.int64)
+        assert chi_square_balance(wide) == chi_square_balance(seq)
+        assert runs_test(wide) == runs_test(seq)
+        for lag in (1, 2, 3):
+            assert lag_autocorrelation(wide, lag) == lag_autocorrelation(seq, lag)
+        for bad in (-128, 0, 2):  # abs(-128) wraps to -128 in int8
+            with pytest.raises(ValueError, match="must be"):
+                runs_test(np.append(seq[:199], np.int8(bad)))
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):

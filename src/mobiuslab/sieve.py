@@ -1,19 +1,25 @@
 """Moebius and Mertens tables over large ranges.
 
-The sieve is segmented, with base primes p <= B = max(isqrt(limit), 64).
-Each slot of a segment holds one uint8 accumulator, and each base prime
-makes one strided add of 2 L(p) + 1 to its multiples, where
-L(p) = round(2 log2 p). The low bit of the accumulator is then the number
+The sieve is segmented, with base primes p <= B = max(isqrt(limit), 64),
+and it sieves only the odd n: slot j of a segment holds n = lo + 2j, with
+lo odd, so a segment of 2^20 slots spans 2^21 numbers. Each slot holds
+one uint8 accumulator, and each odd base prime makes one strided add of
+2 L(p) + 1 to its multiples, where L(p) = round(2 log2 p); in slot terms
+the multiples of p start at j = -lo (p + 1)/2 mod p, since (p + 1)/2 is
+the inverse of 2 mod p. The low bit of the accumulator is then the number
 of base primes dividing n, mod 2, and acc >> 1 is S(n), the sum of L(p)
-over them. Multiples of p^2 are zeroed last. Output is exact and
-independent of the segment size.
+over them. mu is formed in place in the accumulator's bytes, so the
+scratch is 2 bytes per odd slot (the accumulator and the leftover mask),
+and odd multiples of p^2 are zeroed last. Every even entry then comes
+from the odd half in one strided pass: mu(2m) = -mu(m) for odd m, and
+mu(4m) = 0. Output is exact and independent of the segment size.
 
 The leftover test. Let R(n) be the product of the base primes dividing a
 squarefree n <= limit. Any other prime factor q is above B >= isqrt(limit),
 so there is at most one: n = R(n) or n = R(n) q. Each L(p) is within 1/2
 of 2 log2 p, so S(n) is within omega/2 of 2 log2 R(n), where omega is the
-most distinct primes of any n <= limit (from the primorials). On the piece
-2^k <= n < 2^(k+1) of a segment:
+most distinct primes of any n <= limit (from the primorials). On the odd
+n of the piece 2^k <= n < 2^(k+1) of a segment:
 
 - with no leftover prime, R(n) = n >= 2^k, so S(n) >= 2k - omega/2;
 - with a leftover q >= B + 1, R(n) < 2^(k+1) / (B + 1), so
@@ -45,10 +51,11 @@ from pathlib import Path
 
 import numpy as np
 
+# Odd slots per segment; a segment spans twice as many numbers.
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # Caps the output array plus per-segment scratch.
 DEFAULT_MEMORY_BUDGET = 2 << 30
-# The uint8 accumulator and the bool leftover mask.
+# The uint8 accumulator (mu is formed in its bytes) and the bool leftover mask.
 _SCRATCH_BYTES_PER_SLOT = 2
 # Least base-prime bound B, so that the gap condition holds at small limits.
 _PRIME_FLOOR = 64
@@ -136,32 +143,46 @@ def _check_margins(limit: int, bound: int, omega: int) -> None:
         raise RuntimeError(f"the uint8 log sum can overflow at limit {limit}")
 
 
+def _weights(primes: list[int]) -> list[int]:
+    """2 L(p) + 1 for each p, with L(p) = round(2 log2 p).
+
+    L(p) = round(log2(p^4) / 2) is bit_length(p^4) // 2 exactly: log2(p^4)
+    is never an odd integer, so there is no tie.
+    """
+    return [2 * ((p**4).bit_length() // 2) + 1 for p in primes]
+
+
 def _fill_segment(
-    values: np.ndarray, lo: int, hi: int, primes: list[int], weights: list[int], omega: int
-) -> None:
-    """Write mu(lo..hi-1) into values[lo:hi]; weights[i] is 2 L(primes[i]) + 1."""
-    length = hi - lo
+    lo: int, hi: int, primes: list[int], weights: list[int], omega: int
+) -> np.ndarray:
+    """mu of the odd n in [lo, hi), lo odd, as int8; slot j holds n = lo + 2j.
+
+    primes are the odd base primes up to isqrt(hi - 1) or beyond, and
+    weights[i] is 2 L(primes[i]) + 1.
+    """
+    length = (hi - lo + 1) >> 1
     acc = np.zeros(length, dtype=np.uint8)
     for p, w in zip(primes, weights):
-        start = (-lo) % p
+        # p | lo + 2j exactly when j = -lo / 2 (mod p), and 1/2 = (p + 1) / 2 mod p
+        start = (-lo * ((p + 1) >> 1)) % p
         if start < length:
             acc[start::p] += w
     leftover = np.empty(length, dtype=bool)
     for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
-        a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
+        a, b = (max(lo, 1 << k) - lo + 1) >> 1, (min(hi, 2 << k) - lo + 1) >> 1
         # acc >> 1 < 2k - omega/2, on integers: acc < 2 ceil(2k - omega/2)
         np.less(acc[a:b], max(4 * k - 2 * (omega // 2), 0), out=leftover[a:b])
     acc &= 1
     acc ^= leftover
-    mu = values[lo:hi]
-    mu[:] = acc
+    mu = acc.view(np.int8)
     mu *= -2
     mu += 1
     for p in primes:
         p2 = p * p
         if p2 >= hi:
             break
-        mu[(-lo) % p2 :: p2] = 0
+        mu[(-lo * ((p2 + 1) >> 1)) % p2 :: p2] = 0
+    return mu
 
 
 def sieve_moebius(
@@ -172,15 +193,15 @@ def sieve_moebius(
 ) -> MoebiusTable:
     """Exact mu(1..limit) by segmented sieving.
 
-    Deterministic and independent of segment_size. Raises
-    ResourceLimitError when the table plus segment scratch would exceed
-    memory_budget_bytes.
+    Deterministic and independent of segment_size, the number of odd n a
+    segment holds. Raises ResourceLimitError when the table plus segment
+    scratch would exceed memory_budget_bytes.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
-    seg = min(segment_size, limit)
+    seg = min(segment_size, (limit + 1) // 2)
     needed = (limit + 1) + _SCRATCH_BYTES_PER_SLOT * seg
     if needed > memory_budget_bytes:
         raise ResourceLimitError(
@@ -190,13 +211,15 @@ def sieve_moebius(
     bound = max(isqrt(limit), _PRIME_FLOOR)
     omega = _omega_max(limit)
     _check_margins(limit, bound, omega)
-    primes = _base_primes(bound)
-    # L(p) = round(2 log2 p) = round(log2(p^4) / 2) is bit_length(p^4) // 2
-    # exactly: log2(p^4) is never an odd integer, so there is no tie.
-    weights = [2 * ((p**4).bit_length() // 2) + 1 for p in primes]
+    primes = _base_primes(bound)[1:]  # the odd ones: 2 divides no slot
+    weights = _weights(primes)
     values = np.zeros(limit + 1, dtype=np.int8)
-    for lo in range(1, limit + 1, seg):
-        _fill_segment(values, lo, min(lo + seg, limit + 1), primes, weights, omega)
+    for lo in range(1, limit + 1, 2 * seg):
+        hi = min(lo + 2 * seg, limit + 1)
+        values[lo:hi:2] = _fill_segment(lo, hi, primes, weights, omega)
+    # mu(2m) = -mu(m) for odd m; values[4::4] keep their zeros
+    evens = values[2::4]
+    np.negative(values[1::2][: evens.size], out=evens)
     values.setflags(write=False)
     return MoebiusTable(limit=limit, values=values)
 

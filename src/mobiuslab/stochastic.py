@@ -23,7 +23,7 @@ from mobiuslab.sieve import DEFAULT_MEMORY_BUDGET, MoebiusTable, ResourceLimitEr
 
 MIN_TEST_LENGTH = 100
 # Words per block of coin-walk trials are capped at this many bytes, and at 4096 trials.
-_COIN_BLOCK_BYTES = 16 << 20
+_COIN_BLOCK_BYTES = 2 << 20
 # rng.uniforms holds three uint64 arrays as long as a synthetic sequence at its
 # peak; the +/-1 tests later hold the int8 sequence and 17 bytes per entry of copies.
 _COIN_SEQUENCE_BYTES_PER_ENTRY = 24

@@ -1,4 +1,5 @@
 import math
+import random
 from math import isqrt
 
 import numpy as np
@@ -38,10 +39,11 @@ def mu_by_factorization(n: int) -> int:
     return -1 if count % 2 else 1
 
 
-def reference_fill_segment(values, lo, hi, primes):
-    """A residual-product kernel, the oracle for the log-sum kernel: multiply
-    out the base primes p <= isqrt(limit) in int64 and flip the sign of
-    entries whose product falls short of n."""
+def reference_fill_segment(lo, hi, primes):
+    """A residual-product kernel, the oracle for the log-sum kernel: mu of
+    every n in [lo, hi). Multiply out the base primes, 2 included and at
+    least up to isqrt(hi - 1), in int64 and flip the sign of entries whose
+    product falls short of n."""
     length = hi - lo
     mu = np.ones(length, dtype=np.int8)
     residual = np.ones(length, dtype=np.int64)
@@ -58,14 +60,15 @@ def reference_fill_segment(values, lo, hi, primes):
     leftover = residual != np.arange(lo, hi, dtype=np.int64)
     leftover &= mu != 0
     mu[leftover] = -mu[leftover]
-    values[lo:hi] = mu
+    return mu
 
 
 def reference_sieve(limit, segment_size=DEFAULT_SEGMENT_SIZE):
     values = np.zeros(limit + 1, dtype=np.int8)
     primes = sieve_module._base_primes(isqrt(limit))
     for lo in range(1, limit + 1, segment_size):
-        reference_fill_segment(values, lo, min(lo + segment_size, limit + 1), primes)
+        hi = min(lo + segment_size, limit + 1)
+        values[lo:hi] = reference_fill_segment(lo, hi, primes)
     return values
 
 
@@ -75,12 +78,21 @@ def reference_3000():
 
 
 @pytest.fixture(scope="module")
+def reference_edges():
+    return reference_sieve(EDGE_LIMIT)
+
+
+@pytest.fixture(scope="module")
 def reference_10m():
     return reference_sieve(10**7)
 
 
 # omega, the most distinct primes of any n <= limit, steps up at the primorials 210 and 2310
 SMALL_SEGMENT_LIMITS = [*range(1, 257), 2309, 2310, 2311, 3000]
+# Segments of 2^j - 1, 2^j and 2^j + 1 odd slots span 2^(j+1) - 2, 2^(j+1) and
+# 2^(j+1) + 2 numbers, so their ends fall on, beside and across powers of two.
+EDGE_LIMIT = (1 << 22) + 3
+EDGE_SEGMENT_SIZES = [(1 << j) + d for j in range(9, 13) for d in (-1, 0, 1)]
 
 
 class TestSieve:
@@ -162,6 +174,28 @@ class TestLogSumKernel:
     def test_matches_reference_at_1e7(self, reference_10m, segment_size):
         got = sieve_moebius(10**7, segment_size=segment_size).values
         assert np.array_equal(got, reference_10m)
+
+    @pytest.mark.parametrize("segment_size", EDGE_SEGMENT_SIZES)
+    def test_matches_reference_at_segment_edges(self, reference_edges, segment_size):
+        got = sieve_moebius(EDGE_LIMIT, segment_size=segment_size).values
+        assert np.array_equal(got, reference_edges)
+
+    @pytest.mark.parametrize("near", [10**9, 10**12])
+    def test_window_kernel_far_from_one(self, near):
+        # one window of 2^12 odd slots, with no table of [1, lo)
+        lo = near + 1
+        hi = lo + 2 * 4096
+        bound = isqrt(hi - 1)
+        omega = sieve_module._omega_max(hi)
+        sieve_module._check_margins(hi, bound, omega)
+        primes = sieve_module._base_primes(bound)
+        odd = primes[1:]
+        got = sieve_module._fill_segment(lo, hi, odd, sieve_module._weights(odd), omega)
+        assert got.dtype == np.int8 and got.shape == (4096,)
+        assert np.array_equal(got, reference_fill_segment(lo, hi, primes)[::2])
+        rand = random.Random(near)
+        for j in rand.sample(range(4096), 64):
+            assert int(got[j]) == moebius_at(lo + 2 * j), lo + 2 * j
 
     def test_matches_reference_with_segments_below_the_prime_bound(self):
         # 2^10-wide segments at 2e6: base primes up to 1414 step over whole segments

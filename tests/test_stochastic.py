@@ -179,7 +179,7 @@ class TestCoinWalks:
             coin_walk_simulate(10, 10, 0, 1.0, 0.0)
 
     def test_blocks_capped_by_row_length(self):
-        # 65537 words a row, so a block holds 31 trials where it used to hold 4096
+        # 65537 words a row, so a block holds 3 trials where it used to hold 4096
         steps, trials, seed = 64 * 2**16 + 5, 70, 9
         tracemalloc.start()
         try:
@@ -188,9 +188,26 @@ class TestCoinWalks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * _COIN_BLOCK_BYTES + 4 * 2**20
-        for k in (0, 30, 31, 62, 69):  # both sides of each block boundary
+        # both sides of block boundaries, including the first two and the last
+        for k in (0, 2, 3, 5, 6, 30, 31, 62, 68, 69):
             words = rng.word_block(seed, [k], (steps + 63) // 64)[0]
             words[-1] &= np.uint64((1 << 5) - 1)
+            assert terminals[k] == 2 * int(np.bitwise_count(words).sum()) - steps
+
+    def test_warm_lab_sized_walks_stay_small(self):
+        # the largest cointoss of the benchmark's warm-lab session: 311 words a
+        # row, so 842 trials a block of 2 MiB, where 16 MiB blocks held 4096
+        steps, trials, seed = 19893, 5102, 7
+        tracemalloc.start()
+        try:
+            terminals = coin_walk_terminals(steps, trials, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        for k in (0, 841, 842, 5101):
+            words = rng.word_block(seed, [k], (steps + 63) // 64)[0]
+            words[-1] &= np.uint64((1 << (steps % 64)) - 1)
             assert terminals[k] == 2 * int(np.bitwise_count(words).sum()) - steps
 
     def test_over_budget_sizes_raise_before_allocating(self):

@@ -4,17 +4,18 @@
 
 Writes one CSV per parity class with cumulative frequencies at
 geometric checkpoints (the output of `mobiuslab density`) and prints the
-final offsets from the limits. The mu table is cached like the CLI's,
-under $MOBIUSLAB_CACHE_DIR or ./cache.
+final offsets from the limits, read from the last row of each CSV. The
+mu table is cached like the CLI's, under $MOBIUSLAB_CACHE_DIR or ./cache.
 
     python3 scripts/density_scan.py --max 10000000 --out-dir results
 """
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
-from mobiuslab import cli, empirical_frequencies
+from mobiuslab import cli
 
 
 def main() -> None:
@@ -24,7 +25,6 @@ def main() -> None:
     args = parser.parse_args()
 
     cache_dir = cli.resolve_cache_dir(None)
-    table = cli.ensure_table(args.max, cache_dir)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     for parity in ("all", "odd", "even"):
@@ -35,12 +35,11 @@ def main() -> None:
         )
         if code:
             sys.exit(code)
-        final = empirical_frequencies(1, args.max + 1, parity, table)
-        print(
-            f"{parity:>5}: freq_squarefree={final.freq_squarefree:.8f} "
-            f"limit={final.limit_value:.8f} "
-            f"offset={final.freq_squarefree - final.limit_value:+.2e} -> {path}"
-        )
+        with open(path, newline="") as fh:
+            *_, last = csv.DictReader(fh)  # the cumulative row at n = max
+        freq, limit = float(last["freq_squarefree"]), float(last["limit"])
+        print(f"{parity:>5}: freq_squarefree={freq:.8f} limit={limit:.8f} "
+              f"offset={freq - limit:+.2e} -> {path}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ i, j <= isqrt(n) at each n. That is about N (log sqrt N)^2 array work
 for N numbers instead of N sqrt N Python steps: on a 2-core x86 VM,
 [2, 1e5] takes ~0.04 s and [2, 1e7] ~8 s. The range runs in blocks of
 at most IDENTITY_BLOCK_SIZE, so the int32 accumulator stays bounded.
-identity_terms materializes the literal pair grid, for small n.
 
 The same sum restricted to odd indices reproduces mu on odd n, and more
 generally restricting indices to those coprime to any prime set that n
@@ -25,13 +24,12 @@ table from the identity alone, seeded only with mu(1) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from mobiuslab.sieve import DEFAULT_MEMORY_BUDGET, MoebiusTable, ResourceLimitError
+from mobiuslab.sieve import MoebiusTable, _charge
 
 # The scan runs in chunks of 64 KB temporaries: one 800 KB temporary per
 # call near n = 1e10 grew the process heap by ~6 MB over 200 calls.
@@ -42,35 +40,6 @@ IDENTITY_BLOCK_SIZE = 1 << 22
 _BLOCK_BYTES_PER_SLOT = 5
 
 
-def delta_divides(n: int, d: int) -> int:
-    """1 when d divides n, else 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return 1 if n % d == 0 else 0
-
-
-@dataclass(frozen=True)
-class IdentityTerm:
-    i: int
-    j: int
-    coefficient: int  # mu(i) * mu(j), nonzero
-    fired: bool  # i*j divides n
-
-
-@dataclass(frozen=True)
-class IdentityTermSet:
-    """All nonzero-coefficient terms of the delta sum at n."""
-
-    n: int
-    cutoff: int
-    terms: tuple[IdentityTerm, ...]
-
-    def value(self) -> int:
-        return -sum(t.coefficient for t in self.terms if t.fired)
-
-
 def _require_prefix(n: int, mu_prefix: MoebiusTable) -> int:
     cutoff = isqrt(n)
     if mu_prefix.limit < cutoff:
@@ -78,21 +47,6 @@ def _require_prefix(n: int, mu_prefix: MoebiusTable) -> int:
             f"prefix table covers {mu_prefix.limit} but n={n} needs mu up to {cutoff}"
         )
     return cutoff
-
-
-def identity_terms(n: int, mu_prefix: MoebiusTable) -> IdentityTermSet:
-    """Materialize the full pair grid (test-scale; O(cutoff^2) terms)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    cutoff = _require_prefix(n, mu_prefix)
-    mu = mu_prefix.values
-    nonzero = [(i, int(mu[i])) for i in range(1, cutoff + 1) if mu[i] != 0]
-    terms = tuple(
-        IdentityTerm(i=i, j=j, coefficient=mi * mj, fired=n % (i * j) == 0)
-        for i, mi in nonzero
-        for j, mj in nonzero
-    )
-    return IdentityTermSet(n=n, cutoff=cutoff, terms=terms)
 
 
 def _divisor_items(n: int, cutoff: int, values) -> list[tuple[int, int]]:
@@ -200,8 +154,8 @@ def identity_blocks(
     with mu(i) read from mu[i] for i <= isqrt(n). It equals
     moebius_via_identity(n, ...) at every n; with odd, it equals
     moebius_via_identity_odd at every odd n and the slots of even n hold 0.
-    The table plus one block's scratch is charged to the sieve's memory
-    budget; ResourceLimitError when over.
+    The table plus one block's scratch is charged to the memory budget;
+    ResourceLimitError when over.
     """
     if lo < 2:
         raise ValueError("lo must be >= 2")
@@ -213,12 +167,10 @@ def identity_blocks(
             f"prefix table covers {mu.size - 1} but n={hi - 1} needs mu up to {cutoff}"
         )
     block = max(1, min(block_size, hi - lo))
-    needed = mu.nbytes + _BLOCK_BYTES_PER_SLOT * block
-    if needed > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"identity blocks of {block} over a table of {mu.nbytes} bytes need "
-            f"~{needed} bytes, over the memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
-        )
+    _charge(
+        mu.nbytes + _BLOCK_BYTES_PER_SLOT * block,
+        f"an identity pass in blocks of {block} over a table of {mu.nbytes} bytes",
+    )
     return (
         (start, _identity_block(start, min(start + block, hi), mu, odd))
         for start in range(lo, hi, block)

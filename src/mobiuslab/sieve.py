@@ -53,7 +53,7 @@ import numpy as np
 
 # Odd slots per segment; a segment spans twice as many numbers.
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# Caps the output array plus per-segment scratch.
+# Caps every large allocation of the package, each checked by _charge first.
 DEFAULT_MEMORY_BUDGET = 2 << 30
 # The uint8 accumulator (mu is formed in its bytes) and the bool leftover mask.
 _SCRATCH_BYTES_PER_SLOT = 2
@@ -71,6 +71,16 @@ class CorruptCacheError(Exception):
 
 class ResourceLimitError(Exception):
     """A requested allocation exceeds the configured memory budget."""
+
+
+def _charge(needed: int, what: str) -> None:
+    """Raise ResourceLimitError if `what`, holding ~needed bytes at its peak,
+    would exceed DEFAULT_MEMORY_BUDGET, read at each call."""
+    if needed > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{what} needs ~{needed} bytes, over the memory budget of "
+            f"{DEFAULT_MEMORY_BUDGET} bytes"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,29 +195,19 @@ def _fill_segment(
     return mu
 
 
-def sieve_moebius(
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-) -> MoebiusTable:
+def sieve_moebius(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> MoebiusTable:
     """Exact mu(1..limit) by segmented sieving.
 
     Deterministic and independent of segment_size, the number of odd n a
-    segment holds. Raises ResourceLimitError when the table plus segment
-    scratch would exceed memory_budget_bytes.
+    segment holds. The table plus one segment's scratch is charged to the
+    memory budget; ResourceLimitError when over.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
     seg = min(segment_size, (limit + 1) // 2)
-    needed = (limit + 1) + _SCRATCH_BYTES_PER_SLOT * seg
-    if needed > memory_budget_bytes:
-        raise ResourceLimitError(
-            f"sieve of limit {limit} needs ~{needed} bytes, over the "
-            f"memory budget of {memory_budget_bytes} bytes"
-        )
+    _charge((limit + 1) + _SCRATCH_BYTES_PER_SLOT * seg, f"sieve of limit {limit}")
     bound = max(isqrt(limit), _PRIME_FLOOR)
     omega = _omega_max(limit)
     _check_margins(limit, bound, omega)
@@ -262,12 +262,7 @@ def mertens_series(table: MoebiusTable) -> MertensSeries:
     prefix entries are charged to the memory budget; ResourceLimitError
     when over.
     """
-    needed = table.values.nbytes + 4 * (table.limit + 1)
-    if needed > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"Mertens prefix of limit {table.limit} needs ~{needed} bytes, over the "
-            f"memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
-        )
+    _charge(table.values.nbytes + 4 * (table.limit + 1), f"Mertens prefix of limit {table.limit}")
     prefix = np.zeros(table.limit + 1, dtype=np.int32)
     np.cumsum(table.values[1:], dtype=np.int32, out=prefix[1:])
     prefix.setflags(write=False)

@@ -19,14 +19,19 @@ import numpy as np
 
 from mobiuslab import rng
 from mobiuslab.probability import _numerators, density_limits
-from mobiuslab.sieve import DEFAULT_MEMORY_BUDGET, MoebiusTable, ResourceLimitError
+from mobiuslab.sieve import MoebiusTable, _charge
 
 MIN_TEST_LENGTH = 100
 # Words per block of coin-walk trials are capped at this many bytes, and at 4096 trials.
 _COIN_BLOCK_BYTES = 2 << 20
-# rng.uniforms holds three uint64 arrays as long as a synthetic sequence at its
-# peak; the +/-1 tests later hold the int8 sequence and 17 bytes per entry of copies.
+# rng.uniforms holds three uint64 arrays as long as a synthetic sequence at its peak.
 _COIN_SEQUENCE_BYTES_PER_ENTRY = 24
+# coin_walk_simulate holds the int64 terminals, np.std's float64 deviations and
+# numpy's 64 KiB reduction buffer: 16.07 bytes per trial traced at 1e6 trials.
+_WALK_SUMMARY_BYTES_PER_TRIAL = 17
+# Per entry of a parity view: the nonzero mask and the int8 copy, then the copy
+# and the randomness tests' two 1-byte temporaries (an abs and a comparison).
+_SIGN_SEQUENCE_BYTES_PER_ENTRY = 3
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,15 @@ def empirical_frequencies(
 def sign_sequence_squarefree(
     a: int, b: int, parity: str, table: MoebiusTable
 ) -> np.ndarray:
-    """mu over the squarefree integers of a parity class in [a, b), zeros dropped."""
+    """mu over the squarefree integers of a parity class in [a, b), zeros dropped.
+
+    The table and the sequence's copies, here and in the randomness tests, are
+    charged to the memory budget."""
     sub = _parity_view(a, b, parity, table)
+    _charge(
+        table.values.nbytes + _SIGN_SEQUENCE_BYTES_PER_ENTRY * sub.size,
+        f"a sign sequence over {sub.size} {parity} integers",
+    )
     return sub[sub != 0]
 
 
@@ -150,12 +162,7 @@ def coin_sign_sequence(
         raise ValueError("length must be >= 1")
     if not 0.0 < p_plus < 1.0:
         raise ValueError("p_plus must be in (0, 1)")
-    needed = _COIN_SEQUENCE_BYTES_PER_ENTRY * length
-    if needed > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"a coin sequence of length {length} needs ~{needed} bytes, over the "
-            f"memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
-        )
+    _charge(_COIN_SEQUENCE_BYTES_PER_ENTRY * length, f"a coin sequence of length {length}")
     u = rng.uniforms(seed, stream, length)
     return np.where(u < p_plus, 1, -1).astype(np.int8)
 
@@ -169,12 +176,10 @@ def coin_walk_terminals(steps: int, trials: int, seed: int) -> np.ndarray:
     nwords = (steps + 63) // 64
     chunk = max(1, min(4096, _COIN_BLOCK_BYTES // (8 * nwords)))
     # The terminals, plus mix64's peak: two blocks of words and the counters.
-    needed = 8 * trials + (2 * min(chunk, trials) + 1) * 8 * nwords
-    if needed > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"{trials} walks of {steps} steps need ~{needed} bytes, over the "
-            f"memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
-        )
+    _charge(
+        8 * trials + (2 * min(chunk, trials) + 1) * 8 * nwords,
+        f"a run of {trials} walks of {steps} steps",
+    )
     rem = steps % 64
     mask = np.uint64((1 << rem) - 1) if rem else np.uint64(0xFFFFFFFFFFFFFFFF)
     out = np.empty(trials, dtype=np.int64)
@@ -194,14 +199,17 @@ def coin_walk_simulate(
 
     fraction_within_c_sqrt counts |S| <= c * sqrt(steps); the limit of
     that fraction is normal_cdf(c) - normal_cdf(-c). fraction_within_power
-    counts |S| < steps^(1/2 + epsilon), whose limit is 1.
+    counts |S| < steps^(1/2 + epsilon), whose limit is 1. The terminals and
+    np.std's deviations are charged to the memory budget, as are the walks.
     """
     if c <= 0:
         raise ValueError("c must be > 0")
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
+    _charge(_WALK_SUMMARY_BYTES_PER_TRIAL * trials, f"a summary of {trials} walks")
     terminals = coin_walk_terminals(steps, trials, seed)
-    absolutes = np.abs(terminals)
+    mean, std = float(np.mean(terminals)), float(np.std(terminals))
+    absolutes = np.abs(terminals, out=terminals)
     within_c = float(np.mean(absolutes <= c * math.sqrt(steps)))
     within_power = float(np.mean(absolutes < steps ** (0.5 + epsilon)))
     return WalkSummary(
@@ -212,8 +220,8 @@ def coin_walk_simulate(
         epsilon=epsilon,
         fraction_within_c_sqrt=within_c,
         fraction_within_power=within_power,
-        mean_terminal=float(np.mean(terminals)),
-        std_terminal=float(np.std(terminals)),
+        mean_terminal=mean,
+        std_terminal=std,
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -10,14 +11,58 @@ from mobiuslab import MoebiusTable, ResourceLimitError, sieve_moebius
 from mobiuslab.identity import (
     _divisor_items,
     _identity_sum,
+    _require_prefix,
     bootstrap_identity,
-    delta_divides,
     identity_blocks,
-    identity_terms,
     moebius_via_identity,
     moebius_via_identity_coprime,
     moebius_via_identity_odd,
 )
+
+
+def delta_divides(n: int, d: int) -> int:
+    """1 when d divides n, else 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return 1 if n % d == 0 else 0
+
+
+@dataclass(frozen=True)
+class IdentityTerm:
+    i: int
+    j: int
+    coefficient: int  # mu(i) * mu(j), nonzero
+    fired: bool  # i*j divides n
+
+
+@dataclass(frozen=True)
+class IdentityTermSet:
+    """All nonzero-coefficient terms of the delta sum at n."""
+
+    n: int
+    cutoff: int
+    terms: tuple[IdentityTerm, ...]
+
+    def value(self) -> int:
+        return -sum(t.coefficient for t in self.terms if t.fired)
+
+
+def identity_terms(n: int, mu_prefix: MoebiusTable) -> IdentityTermSet:
+    """The literal pair grid of the delta sum at n, O(cutoff^2) terms: the
+    reference the divisor scan and the range blocks are checked against."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    cutoff = _require_prefix(n, mu_prefix)
+    mu = mu_prefix.values
+    nonzero = [(i, int(mu[i])) for i in range(1, cutoff + 1) if mu[i] != 0]
+    terms = tuple(
+        IdentityTerm(i=i, j=j, coefficient=mi * mj, fired=n % (i * j) == 0)
+        for i, mi in nonzero
+        for j, mj in nonzero
+    )
+    return IdentityTermSet(n=n, cutoff=cutoff, terms=terms)
 
 
 def loop_divisor_items(n, cutoff, values):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mobiuslab import empirical_frequencies, load_table
 from mobiuslab.cli import CACHE_ENV_VAR, main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -25,9 +26,17 @@ def run_script(name, *argv, cwd):
 
 def test_density_scan_writes_the_cli_output(tmp_path, capsys):
     out = run_script("density_scan.py", "--max", "5000", "--out-dir", "results", cwd=tmp_path)
-    assert (tmp_path / "cache" / "moebius_5000.mobs").exists()
-    for parity in ("all", "odd", "even"):
-        assert f"{parity:>5}: freq_squarefree=" in out
+    table = load_table(tmp_path / "cache" / "moebius_5000.mobs")
+    lines = out.splitlines()
+    for parity, line in zip(("all", "odd", "even"), lines, strict=True):
+        # the summary once computed from the table, now read from the last CSV row
+        final = empirical_frequencies(1, 5001, parity, table)
+        assert line == (
+            f"{parity:>5}: freq_squarefree={final.freq_squarefree:.8f} "
+            f"limit={final.limit_value:.8f} "
+            f"offset={final.freq_squarefree - final.limit_value:+.2e} -> "
+            f"{Path('results') / f'density_{parity}.csv'}"
+        )
         assert main(["density", "--max", "5000", "--parity", parity,
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         written = (tmp_path / "results" / f"density_{parity}.csv").read_text()

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -18,6 +19,13 @@ from mobiuslab import (
     moebius_at,
     save_table,
     sieve_moebius,
+)
+from mobiuslab.identity import identity_blocks
+from mobiuslab.stochastic import (
+    coin_sign_sequence,
+    coin_walk_simulate,
+    coin_walk_terminals,
+    sign_sequence_squarefree,
 )
 
 
@@ -153,9 +161,10 @@ class TestSieve:
         with pytest.raises(ValueError):
             sieve_moebius(0)
 
-    def test_memory_budget_enforced(self):
+    def test_memory_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 10**6)
         with pytest.raises(ResourceLimitError, match="1000000 bytes"):
-            sieve_moebius(10**8, memory_budget_bytes=10**6)
+            sieve_moebius(10**8)
 
 
 class TestLogSumKernel:
@@ -419,3 +428,29 @@ class TestCacheFormat:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_table(tmp_path / "absent.mobs")
+
+
+# Each charged allocation, at a size that would allocate ~100 KB to ~17 MB.
+CHARGED_SITES = {
+    "sieve_moebius": lambda table: sieve_moebius(10**6),
+    "mertens_series": lambda table: mertens_series(table),
+    "identity_blocks": lambda table: identity_blocks(2, 10**6, table.values),
+    "coin_sign_sequence": lambda table: coin_sign_sequence(10**6, seed=0),
+    "coin_walk_terminals": lambda table: coin_walk_terminals(64, 10**6, seed=0),
+    "coin_walk_simulate": lambda table: coin_walk_simulate(64, 10**6, 0, 1.96, 0.1),
+    "mustats --range": lambda table: sign_sequence_squarefree(1, 10**5 + 1, "all", table),
+}
+
+
+@pytest.mark.parametrize("site", list(CHARGED_SITES))
+def test_charged_sites_raise_before_allocating(site, monkeypatch, table_100k):
+    # the budget is read when each call is made, so one patch reaches every module
+    monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="over the memory budget of 4096 bytes$"):
+            CHARGED_SITES[site](table_100k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiuslab import ResourceLimitError, harmonic_series, mertens_series, rng, sieve_moebius
+from mobiuslab import stochastic as stochastic_module
 from mobiuslab.stochastic import (
     _COIN_BLOCK_BYTES,
     MIN_TEST_LENGTH,
@@ -112,6 +113,22 @@ class TestSpanCounts:
 
 
 class TestSignSequences:
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_mustats_peak_within_its_charge(self, monkeypatch, table_10m, parity):
+        # the sequence plus the tests' temporaries, beside the table mustats already holds
+        charged = []
+        monkeypatch.setattr(stochastic_module, "_charge", lambda needed, what: charged.append(needed))
+        tracemalloc.start()
+        try:
+            seq = sign_sequence_squarefree(10**6, 2 * 10**6, parity, table_10m)
+            chi_square_balance(seq)
+            runs_test(seq)
+            lag_autocorrelation(seq, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged and peak <= charged[0] - table_10m.values.nbytes
+
     def test_first_ten(self, table_10k):
         assert sign_sequence_squarefree(1, 11, "all", table_10k).tolist() == [
             1, -1, -1, -1, 1, -1, 1,
@@ -209,6 +226,26 @@ class TestCoinWalks:
             words = rng.word_block(seed, [k], (steps + 63) // 64)[0]
             words[-1] &= np.uint64((1 << (steps % 64)) - 1)
             assert terminals[k] == 2 * int(np.bitwise_count(words).sum()) - steps
+
+    def test_summary_peak_within_its_charge(self, monkeypatch):
+        # the terminals, their abs and np.std's deviations peaked at 24 bytes a
+        # trial, where 8 were charged. The stand-in allocates the terminals as
+        # the walks do, without their per-trial Python key loop, which takes
+        # ~14 s under tracemalloc at 1e6 trials; the walks' own peak is tested above.
+        charged = []
+        monkeypatch.setattr(stochastic_module, "_charge", lambda needed, what: charged.append(needed))
+        monkeypatch.setattr(
+            stochastic_module,
+            "coin_walk_terminals",
+            lambda steps, trials, seed: np.ones(trials, dtype=np.int64),
+        )
+        tracemalloc.start()
+        try:
+            coin_walk_simulate(1, 10**6, 0, 1.96, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charged)
 
     def test_over_budget_sizes_raise_before_allocating(self):
         with pytest.raises(ResourceLimitError, match="memory budget"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -50,6 +51,7 @@ from mobiuslab.sieve import (
 )
 from mobiuslab.stochastic import (
     MIN_TEST_LENGTH,
+    _charge_sign_sequence,
     checkpoint_grid,
     chi_square_balance,
     coin_sign_sequence,
@@ -281,6 +283,7 @@ def cmd_mustats(args: argparse.Namespace) -> int:
         seq = coin_sign_sequence(b - a, args.seed, p_plus=args.bias)
         descriptor = f"coin(p={args.bias}, seed={args.seed}, n={b - a})"
     else:
+        _charge_sign_sequence(a, b, args.parity, b - 1)  # before a sieve could run
         table = ensure_table(b - 1, args.cache_dir)
         seq = sign_sequence_squarefree(a, b, args.parity, table)
         descriptor = f"mu-signs[{a}:{b}) parity={args.parity}"
@@ -324,20 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve", help="sieve mu up to a limit and cache the table")
     p.add_argument("--limit", type=_positive_int, required=True)
     add_cache(p)
-    p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("verify-identity", help="check the delta-sum identity against the sieve")
     p.add_argument("--max", type=_positive_int, required=True, dest="limit")
     p.add_argument("--odd-only", action="store_true", help="check the odd-restricted form on odd n")
     add_cache(p)
-    p.set_defaults(func=cmd_verify_identity)
 
     p = sub.add_parser("probs", help="exact value probabilities at n")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--parity", choices=["all", "odd", "even"], default="all")
     add_cache(p)
     add_out(p)
-    p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("density", help="empirical outcome frequencies against the density limits")
     p.add_argument("--max", type=_positive_int, required=True, dest="limit")
@@ -346,14 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt")
     add_cache(p)
     add_out(p)
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("walk", help="Mertens walk checkpoints with the shift-term series")
     p.add_argument("--max", type=_positive_int, required=True, dest="limit")
     p.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt")
     add_cache(p)
     add_out(p)
-    p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("cointoss", help="simulate fair +/-1 walks and report |S| concentration")
     p.add_argument("--steps", type=_positive_int, required=True)
@@ -362,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.96)
     p.add_argument("--epsilon", type=float, default=0.1)
     add_out(p)
-    p.set_defaults(func=cmd_cointoss)
 
     p = sub.add_parser("mustats", help="randomness tests over a squarefree sign sequence")
     p.add_argument("--range", type=_range_pair, required=True, dest="range_", metavar="A:B")
@@ -373,16 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_cache(p)
     add_out(p)
-    p.set_defaults(func=cmd_mustats)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.cache_dir = resolve_cache_dir(getattr(args, "cache_dir", None))
+    # Looked up at each call, so that wrappers installed on the cmd_* module
+    # names (a tracer, say) are the functions called.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except CorruptCacheError as exc:
         print(f"corrupt cache: {exc}", file=sys.stderr)
         return 3

@@ -2,33 +2,24 @@
 
 Each (master seed, stream index) pair owns an independent stream whose
 k-th 64-bit word is mix64(stream_key + (k + 1) * GOLDEN), where mix64 is
-the SplitMix64 output permutation (shift-xor / multiply). Words are a
-pure function of (seed, stream, k), so any partitioning of the work
-reproduces the same values bit for bit.
+the SplitMix64 output permutation (shift-xor / multiply) and stream_key is
+mix64(seed + stream * STREAM_STEP mod 2^64). Words are a pure function of
+(seed, stream, k), so any partitioning of the work reproduces the same
+values bit for bit.
 
-Scalar key derivation stays in Python ints (masked to 64 bits); numpy
-uint64 arithmetic on arrays wraps silently, which is the behaviour the
-generator relies on.
+All of it is numpy uint64 arithmetic on arrays, which wraps mod 2^64
+silently: the behaviour the generator relies on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_STEP = 0xD1B54A32D192ED03
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
-
-
-def mix64_int(x: int) -> int:
-    """SplitMix64 finalizer on a Python int."""
-    x &= _MASK
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK
-    return x ^ (x >> 31)
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -38,21 +29,24 @@ def mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def stream_key(seed: int, stream: int) -> int:
-    return mix64_int(seed + stream * _STREAM_STEP)
+def _keys(seed: int, streams) -> np.ndarray:
+    """The stream keys of an array of stream indices, in one array pass."""
+    streams = np.asarray(streams, dtype=np.uint64)
+    return mix64(_U64(seed % (1 << 64)) + streams * _U64(_STREAM_STEP))
+
+
+def _counters(count: int) -> np.ndarray:
+    return np.arange(1, count + 1, dtype=np.uint64) * _U64(_GOLDEN)
 
 
 def words(seed: int, stream: int, count: int) -> np.ndarray:
     """First `count` words of a stream."""
-    counters = np.arange(1, count + 1, dtype=np.uint64) * _U64(_GOLDEN)
-    return mix64(_U64(stream_key(seed, stream)) + counters)
+    return mix64(_keys(seed, [stream]) + _counters(count))
 
 
 def word_block(seed: int, streams, count: int) -> np.ndarray:
-    """Matrix of words, one row per stream index."""
-    keys = np.array([stream_key(seed, int(s)) for s in streams], dtype=np.uint64)
-    counters = np.arange(1, count + 1, dtype=np.uint64) * _U64(_GOLDEN)
-    return mix64(keys[:, None] + counters[None, :])
+    """Matrix of words, one row per stream index; indices lie in [0, 2^64)."""
+    return mix64(_keys(seed, streams)[:, None] + _counters(count)[None, :])
 
 
 def uniforms(seed: int, stream: int, count: int) -> np.ndarray:

@@ -88,31 +88,75 @@ class MertensWalkStats:
     fit_residual: float  # rms residual of the fit
 
 
+# Bytes of an 8-entry word, in memory order, that hold n = 8q + k for k = 0..7.
+_CLASS_BYTES = {"all": range(8), "odd": range(1, 8, 2), "even": range(0, 8, 2)}
+# Words a span is masked in at a time: a 512 KiB buffer.
+_SPAN_CHUNK_WORDS = 1 << 16
+
+
+def _check_parity(parity: str) -> None:
+    if parity not in _CLASS_BYTES:
+        raise ValueError(f"parity must be all, odd, or even, not {parity!r}")
+
+
 def _parity_view(a: int, b: int, parity: str, table: MoebiusTable) -> np.ndarray:
     """The table entries of the integers of a parity class in [a, b), as a view."""
     if not 1 <= a < b <= table.limit + 1:
         raise ValueError(f"need 1 <= a < b <= {table.limit + 1}, got [{a}, {b})")
+    _check_parity(parity)
     if parity == "all":
         return table.values[a:b]
-    if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be all, odd, or even, not {parity!r}")
     first = a if a % 2 == (parity == "odd") else a + 1
     return table.values[first:b:2]
+
+
+def _class_mask(parity: str, byte: int) -> np.uint64:
+    """The word with `byte` in the class's byte positions and 0 elsewhere."""
+    mask = np.zeros(8, dtype=np.uint8)
+    mask[_CLASS_BYTES[parity]] = byte
+    return mask.view(np.uint64)[0]
 
 
 def span_counts(edges, parity: str, table: MoebiusTable) -> np.ndarray:
     """Row i is (minus, plus, total) over the parity class in [edges[i], edges[i+1]):
     how many members have mu = -1, mu = +1, and how many there are.
 
-    Each span is read through a view with one int64 sum (plus - minus) and one
-    count_nonzero (plus + minus), so nothing as long as a span is allocated.
+    Entries are the bytes 0x00, 0x01 and 0xFF, so a byte's low bit marks a
+    nonzero entry and its top bit a -1. The part of a span from one multiple
+    of 8 to another is read as uint64 words, whose byte k holds n = k mod 8;
+    each word is masked to the class's low bits and then to its top bits, and
+    np.count_nonzero counts the nonzero bytes. The masks go through one
+    reused buffer of at most _SPAN_CHUNK_WORDS words. The entries before the
+    first whole word and after the last, at most 7 at each end, are counted
+    on a view.
     """
+    _check_parity(parity)
+    low, top = _class_mask(parity, 0x01), _class_mask(parity, 0x80)
+    step = 1 if parity == "all" else 2
+    values = table.values
+    words = values[: values.size // 8 * 8].view(np.uint64)
+    longest = max((b - a for a, b in zip(edges, edges[1:])), default=0)
+    buffer = np.empty(min(max(longest // 8, 1), _SPAN_CHUNK_WORDS), dtype=np.uint64)
+    masked = buffer.view(np.uint8)
     rows = []
     for a, b in zip(edges, edges[1:]):
-        view = _parity_view(a, b, parity, table)
-        signed = int(view.sum(dtype=np.int64))
-        nonzero = np.count_nonzero(view)
-        rows.append(((nonzero - signed) // 2, (nonzero + signed) // 2, view.size))
+        total = _parity_view(a, b, parity, table).size
+        lo = -(-a // 8)
+        hi = max(b // 8, lo)  # words [lo, hi) lie whole in the span
+        nonzero = minus = 0
+        for start in range(lo, hi, buffer.size):
+            chunk = words[start : min(start + buffer.size, hi)]
+            size = chunk.size
+            np.bitwise_and(chunk, low, out=buffer[:size])
+            nonzero += np.count_nonzero(masked[: 8 * size])
+            np.bitwise_and(chunk, top, out=buffer[:size])
+            minus += np.count_nonzero(masked[: 8 * size])
+        for c, d in ((a, min(8 * lo, b)), (8 * hi, b)):
+            first = c if step == 1 or c % 2 == (parity == "odd") else c + 1
+            piece = values[first:d:step].tolist()
+            nonzero += len(piece) - piece.count(0)
+            minus += piece.count(-1)
+        rows.append((minus, nonzero - minus, total))
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
@@ -147,11 +191,18 @@ def sign_sequence_squarefree(
     The table and the sequence's copies, here and in the randomness tests, are
     charged to the memory budget."""
     sub = _parity_view(a, b, parity, table)
-    _charge(
-        table.values.nbytes + _SIGN_SEQUENCE_BYTES_PER_ENTRY * sub.size,
-        f"a sign sequence over {sub.size} {parity} integers",
-    )
+    _charge_sign_sequence(a, b, parity, table.limit)
     return sub[sub != 0]
+
+
+def _charge_sign_sequence(a: int, b: int, parity: str, limit: int) -> None:
+    """Charge a table of mu(1..limit) and the copies of a sign sequence over
+    the parity class in [a, b), before either exists."""
+    members = b - a if parity == "all" else (b - a + (a % 2 == (parity == "odd"))) // 2
+    _charge(
+        limit + 1 + _SIGN_SEQUENCE_BYTES_PER_ENTRY * members,
+        f"a sign sequence over {members} {parity} integers",
+    )
 
 
 def coin_sign_sequence(

@@ -6,7 +6,9 @@ from math import isqrt
 
 import pytest
 
-from mobiuslab.cli import CACHE_ENV_VAR, main
+from mobiuslab import cli
+from mobiuslab import sieve as sieve_module
+from mobiuslab.cli import CACHE_ENV_VAR, build_parser, main
 from mobiuslab.probability import delta_prob, prob_triple_even, prob_triple_general, prob_triple_odd
 from mobiuslab.sieve import MoebiusTable, moebius_at, save_table, sieve_moebius
 
@@ -359,6 +361,17 @@ class TestMustatsCommand:
             main(["mustats", "--range", "10"])
         assert excinfo.value.code == 2
 
+    def test_over_budget_range_exits_before_it_sieves(self, capsys, tmp_path, monkeypatch):
+        # the 1e6 table's sieve fits 3e6 bytes; the table and the sequence do not
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 3_000_000)
+        code, out, err = run(
+            capsys, "mustats", "--range", "1:1000001", "--cache-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err and "sieving" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCaching:
     def test_cache_reused_after_first_run(self, capsys, tmp_path):
@@ -399,3 +412,45 @@ class TestCaching:
         assert code == 0
         assert (flag_dir / "moebius_300.mobs").exists()
         assert not (env_dir / "moebius_300.mobs").exists()
+
+
+class TestParserReuse:
+    CALLS = [
+        ["density", "--max", "1000", "--parity", "odd"],
+        ["density", "--max", "0"],  # rejected by the parser
+        ["probs", "--n", "1001", "--parity", "odd"],
+        ["walk", "--max", "999"],  # exits 2 from the command
+        ["density", "--max", "1000", "--window", "300"],
+    ]
+
+    @staticmethod
+    def session(capsys, cache):
+        """(exit code, stdout, stderr) of each call, run in turn by main."""
+        results = []
+        for argv in TestParserReuse.CALLS:
+            try:
+                results.append(run(capsys, *argv, "--cache-dir", str(cache)))
+            except SystemExit as exc:
+                results.append((exc.code, *capsys.readouterr()))
+        return results
+
+    def test_calls_in_one_process_match_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        reused = self.session(capsys, tmp_path / "reused")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", build_parser)  # a new parser for each call
+            fresh = self.session(capsys, tmp_path / "fresh")
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]
+        assert reused[0][1].startswith("n,freq_minus") and reused[2][1].startswith("{")
+
+    def test_wrappers_installed_after_the_first_call_are_called(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        argv = ["density", "--max", "100", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        seen = []
+        original = cli.cmd_density
+        monkeypatch.setattr(cli, "cmd_density", lambda args: seen.append(args) or original(args))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("n,freq_minus")
+        assert len(seen) == 1 and seen[0].limit == 100

@@ -34,6 +34,29 @@ def table_20m():
     return sieve_moebius(2 * 10**7)
 
 
+# Reference stream keys: the SplitMix64 finalizer on Python ints, one key at a time.
+_MASK = (1 << 64) - 1
+
+
+def mix64_int(x: int) -> int:
+    x &= _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+def stream_key(seed: int, stream: int) -> int:
+    return mix64_int(seed + stream * 0xD1B54A32D192ED03)
+
+
+def reference_word_block(seed: int, streams, count: int) -> list[list[int]]:
+    golden = 0x9E3779B97F4A7C15
+    return [
+        [mix64_int(stream_key(seed, s) + k * golden) for k in range(1, count + 1)]
+        for s in streams
+    ]
+
+
 def phi_by_quadrature(x: float) -> float:
     """Simpson integration of the normal density, independent of erfc."""
     if x < 0:
@@ -84,6 +107,17 @@ class TestFrequencies:
             empirical_frequencies(1, table_10k.limit + 2, "all", table_10k)
 
 
+def python_counts(table, edges, parity):
+    """span_counts by a count of each entry in Python."""
+    member = {"all": lambda n: True, "odd": lambda n: n % 2, "even": lambda n: n % 2 == 0}
+    mu = table.values.tolist()
+    rows = []
+    for a, b in zip(edges, edges[1:]):
+        signs = [mu[n] for n in range(a, b) if member[parity](n)]
+        rows.append([signs.count(-1), signs.count(1), len(signs)])
+    return rows
+
+
 class TestSpanCounts:
     @pytest.mark.parametrize("parity", ["all", "odd", "even"])
     def test_matches_python_count(self, table_10k, parity):
@@ -91,18 +125,41 @@ class TestSpanCounts:
         # one-wide spans at 4 and 5: one of them holds no member of a parity class
         inner = random.Random(parity).sample(range(6, top), 60) + [4, 5, 6]
         edges = [1] + sorted(set(inner)) + [top]
-        member = {"all": lambda n: True, "odd": lambda n: n % 2, "even": lambda n: n % 2 == 0}
-        mu = table_10k.values.tolist()
-        expected = []
-        for a, b in zip(edges, edges[1:]):
-            signs = [mu[n] for n in range(a, b) if member[parity](n)]
-            expected.append([signs.count(-1), signs.count(1), len(signs)])
+        expected = python_counts(table_10k, edges, parity)
         got = span_counts(edges, parity, table_10k)
         assert got.dtype == np.int64
         assert got.tolist() == expected
         assert span_counts([7], parity, table_10k).shape == (0, 3)
         if parity != "all":
             assert [0, 0, 0] in expected
+
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_span_ends_at_every_residue(self, table_10k, parity):
+        # spans read as whole 8-entry words plus end pieces: ends at every
+        # residue mod 8, one-wide spans, and spans inside a single word
+        edges = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 18, 26, 35, 44, 53, 62, 71, 80]
+        edges += [80 + 64 * k + r for k, r in enumerate(range(8), start=1)] + [700, 701]
+        assert span_counts(edges, parity, table_10k).tolist() == python_counts(
+            table_10k, edges, parity
+        )
+        for a in range(1, 17):
+            for b in range(a + 1, a + 40):
+                assert span_counts([a, b], parity, table_10k).tolist() == python_counts(
+                    table_10k, [a, b], parity
+                ), (a, b)
+
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_spans_across_chunks(self, monkeypatch, table_10k, parity):
+        # 3-word chunks, so the long spans cross hundreds of chunk boundaries
+        monkeypatch.setattr(stochastic_module, "_SPAN_CHUNK_WORDS", 3)
+        edges = [3, 4, 29, 52, 53, 1001, 1024, 5003, 9999, 10001]
+        assert span_counts(edges, parity, table_10k).tolist() == python_counts(
+            table_10k, edges, parity
+        )
+
+    def test_bad_parity_rejected(self, table_10k):
+        with pytest.raises(ValueError, match="parity"):
+            span_counts([1, 100], "prime", table_10k)
 
     @pytest.mark.parametrize(
         "edges", [[5, 5], [1, 7, 3], [0, 10], [1, 10**4 + 2]]
@@ -147,6 +204,25 @@ class TestSignSequences:
             plus = int(np.count_nonzero(seq == 1))
             minus = seq.size - plus
             assert plus - minus == series.m(b - 1) - (series.m(a - 1) if a > 1 else 0)
+
+
+class TestStreamKeys:
+    SEEDS = [0, 1, -5, 2**64 + 3, -(2**65)]
+    STREAMS = [0, 1, 2**63, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_word_block_matches_per_key_reference(self, seed):
+        block = rng.word_block(seed, self.STREAMS, 5)
+        assert block.dtype == np.uint64
+        assert block.tolist() == reference_word_block(seed, self.STREAMS, 5)
+        as_array = rng.word_block(seed, np.array(self.STREAMS, dtype=np.uint64), 5)
+        assert np.array_equal(as_array, block)
+        for row, stream in zip(block, self.STREAMS):
+            assert np.array_equal(rng.words(seed, stream, 5), row)
+
+    def test_uniforms_are_the_top_53_bits(self):
+        words = reference_word_block(-5, [7], 4)[0]
+        assert rng.uniforms(-5, 7, 4).tolist() == [(w >> 11) / 2**53 for w in words]
 
 
 class TestCoinWalks:
@@ -230,8 +306,7 @@ class TestCoinWalks:
     def test_summary_peak_within_its_charge(self, monkeypatch):
         # the terminals, their abs and np.std's deviations peaked at 24 bytes a
         # trial, where 8 were charged. The stand-in allocates the terminals as
-        # the walks do, without their per-trial Python key loop, which takes
-        # ~14 s under tracemalloc at 1e6 trials; the walks' own peak is tested above.
+        # the walks do and nothing else; the walks' own peak is tested above.
         charged = []
         monkeypatch.setattr(stochastic_module, "_charge", lambda needed, what: charged.append(needed))
         monkeypatch.setattr(

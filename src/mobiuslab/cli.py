@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -109,9 +110,16 @@ def ensure_table(limit: int, cache_dir: Path) -> MoebiusTable:
             return table
     print(f"sieving mu up to {limit} (no cached table found)", file=sys.stderr)
     table = sieve_moebius(limit)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    save_table(table, cache_dir / f"moebius_{limit}.mobs")
+    _save_cached(table, cache_dir)
     return table
+
+
+def _save_cached(table: MoebiusTable, cache_dir: Path) -> Path:
+    """Save the table as cache_dir/moebius_{limit}.mobs, the name ensure_table finds."""
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    path = cache_dir / f"moebius_{table.limit}.mobs"
+    save_table(table, path)
+    return path
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -163,9 +171,7 @@ def _fraction_json(f: Fraction) -> dict:
 
 def cmd_sieve(args: argparse.Namespace) -> int:
     table = sieve_moebius(args.limit)
-    args.cache_dir.mkdir(parents=True, exist_ok=True)
-    path = args.cache_dir / f"moebius_{args.limit}.mobs"
-    save_table(table, path)
+    path = _save_cached(table, args.cache_dir)
     minus, plus, _ = span_counts([1, args.limit + 1], "all", table)[0].tolist()
     squarefree, m_limit = minus + plus, plus - minus
     print(f"limit={args.limit} squarefree={squarefree} M({args.limit})={m_limit} cache={path}")
@@ -295,17 +301,7 @@ def cmd_mustats(args: argparse.Namespace) -> int:
     reports += [
         lag_autocorrelation(seq, k, descriptor) for k in range(1, args.lag + 1)
     ]
-    payload = [
-        {
-            "test": r.test,
-            "sequence": r.sequence,
-            "statistic": r.statistic,
-            "p_value": r.p_value,
-            "z_score": r.z_score,
-            "lag": r.lag,
-        }
-        for r in reports
-    ]
+    payload = [dataclasses.asdict(r) for r in reports]
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 

@@ -140,12 +140,7 @@ def _identity_block(lo: int, hi: int, mu: np.ndarray, odd: bool) -> np.ndarray:
 
 
 def identity_blocks(
-    lo: int,
-    hi: int,
-    mu: np.ndarray,
-    *,
-    odd: bool = False,
-    block_size: int = IDENTITY_BLOCK_SIZE,
+    lo: int, hi: int, mu: np.ndarray, *, odd: bool = False
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Evaluate the delta sum at every n in [lo, hi), one block at a time.
 
@@ -154,19 +149,18 @@ def identity_blocks(
     with mu(i) read from mu[i] for i <= isqrt(n). It equals
     moebius_via_identity(n, ...) at every n; with odd, it equals
     moebius_via_identity_odd at every odd n and the slots of even n hold 0.
-    The table plus one block's scratch is charged to the memory budget;
+    Blocks hold at most IDENTITY_BLOCK_SIZE n, read at each call. The table
+    plus one block's scratch is charged to the memory budget;
     ResourceLimitError when over.
     """
     if lo < 2:
         raise ValueError("lo must be >= 2")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
     cutoff = isqrt(max(hi - 1, 1))
     if mu.size <= cutoff:
         raise ValueError(
             f"prefix table covers {mu.size - 1} but n={hi - 1} needs mu up to {cutoff}"
         )
-    block = max(1, min(block_size, hi - lo))
+    block = max(1, min(IDENTITY_BLOCK_SIZE, hi - lo))
     _charge(
         mu.nbytes + _BLOCK_BYTES_PER_SLOT * block,
         f"an identity pass in blocks of {block} over a table of {mu.nbytes} bytes",

@@ -195,18 +195,16 @@ def _fill_segment(
     return mu
 
 
-def sieve_moebius(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> MoebiusTable:
+def sieve_moebius(limit: int) -> MoebiusTable:
     """Exact mu(1..limit) by segmented sieving.
 
-    Deterministic and independent of segment_size, the number of odd n a
-    segment holds. The table plus one segment's scratch is charged to the
-    memory budget; ResourceLimitError when over.
+    Deterministic and independent of DEFAULT_SEGMENT_SIZE, read at each
+    call: the number of odd n a segment holds. The table plus one segment's
+    scratch is charged to the memory budget; ResourceLimitError when over.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
-    seg = min(segment_size, (limit + 1) // 2)
+    seg = min(DEFAULT_SEGMENT_SIZE, (limit + 1) // 2)
     _charge((limit + 1) + _SCRATCH_BYTES_PER_SLOT * seg, f"sieve of limit {limit}")
     bound = max(isqrt(limit), _PRIME_FLOOR)
     omega = _omega_max(limit)

@@ -88,32 +88,33 @@ class MertensWalkStats:
     fit_residual: float  # rms residual of the fit
 
 
-# Bytes of an 8-entry word, in memory order, that hold n = 8q + k for k = 0..7.
-_CLASS_BYTES = {"all": range(8), "odd": range(1, 8, 2), "even": range(0, 8, 2)}
+# Each parity class as (step, residue): the n with n = residue (mod step).
+_CLASSES = {"all": (1, 0), "odd": (2, 1), "even": (2, 0)}
 # Words a span is masked in at a time: a 512 KiB buffer.
 _SPAN_CHUNK_WORDS = 1 << 16
 
 
-def _check_parity(parity: str) -> None:
-    if parity not in _CLASS_BYTES:
-        raise ValueError(f"parity must be all, odd, or even, not {parity!r}")
+def _members(a: int, b: int, parity: str) -> range:
+    """The integers of a parity class in [a, b)."""
+    try:
+        step, residue = _CLASSES[parity]
+    except KeyError:
+        raise ValueError(f"parity must be all, odd, or even, not {parity!r}") from None
+    return range(a + (residue - a) % step, b, step)
 
 
-def _parity_view(a: int, b: int, parity: str, table: MoebiusTable) -> np.ndarray:
-    """The table entries of the integers of a parity class in [a, b), as a view."""
+def _span(a: int, b: int, parity: str, table: MoebiusTable) -> range:
+    """The integers of a parity class in [a, b), a span of the table."""
     if not 1 <= a < b <= table.limit + 1:
         raise ValueError(f"need 1 <= a < b <= {table.limit + 1}, got [{a}, {b})")
-    _check_parity(parity)
-    if parity == "all":
-        return table.values[a:b]
-    first = a if a % 2 == (parity == "odd") else a + 1
-    return table.values[first:b:2]
+    return _members(a, b, parity)
 
 
 def _class_mask(parity: str, byte: int) -> np.uint64:
-    """The word with `byte` in the class's byte positions and 0 elsewhere."""
+    """The word with `byte` in the bytes of the class's n = 0..7 (byte k of a
+    word holds n = k mod 8) and 0 elsewhere."""
     mask = np.zeros(8, dtype=np.uint8)
-    mask[_CLASS_BYTES[parity]] = byte
+    mask[_members(0, 8, parity)] = byte
     return mask.view(np.uint64)[0]
 
 
@@ -130,9 +131,9 @@ def span_counts(edges, parity: str, table: MoebiusTable) -> np.ndarray:
     first whole word and after the last, at most 7 at each end, are counted
     on a view.
     """
-    _check_parity(parity)
     low, top = _class_mask(parity, 0x01), _class_mask(parity, 0x80)
-    step = 1 if parity == "all" else 2
+    # Every step divides 8, so each word's first member is at this offset in it.
+    offset = _members(0, 8, parity).start
     values = table.values
     words = values[: values.size // 8 * 8].view(np.uint64)
     longest = max((b - a for a, b in zip(edges, edges[1:])), default=0)
@@ -140,7 +141,7 @@ def span_counts(edges, parity: str, table: MoebiusTable) -> np.ndarray:
     masked = buffer.view(np.uint8)
     rows = []
     for a, b in zip(edges, edges[1:]):
-        total = _parity_view(a, b, parity, table).size
+        members = _span(a, b, parity, table)
         lo = -(-a // 8)
         hi = max(b // 8, lo)  # words [lo, hi) lie whole in the span
         nonzero = minus = 0
@@ -151,12 +152,11 @@ def span_counts(edges, parity: str, table: MoebiusTable) -> np.ndarray:
             nonzero += np.count_nonzero(masked[: 8 * size])
             np.bitwise_and(chunk, top, out=buffer[:size])
             minus += np.count_nonzero(masked[: 8 * size])
-        for c, d in ((a, min(8 * lo, b)), (8 * hi, b)):
-            first = c if step == 1 or c % 2 == (parity == "odd") else c + 1
-            piece = values[first:d:step].tolist()
+        for c, d in ((members.start, min(8 * lo, b)), (8 * hi + offset, b)):
+            piece = values[c : d : members.step].tolist()
             nonzero += len(piece) - piece.count(0)
             minus += piece.count(-1)
-        rows.append((minus, nonzero - minus, total))
+        rows.append((minus, nonzero - minus, len(members)))
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
@@ -190,15 +190,16 @@ def sign_sequence_squarefree(
 
     The table and the sequence's copies, here and in the randomness tests, are
     charged to the memory budget."""
-    sub = _parity_view(a, b, parity, table)
+    members = _span(a, b, parity, table)
     _charge_sign_sequence(a, b, parity, table.limit)
+    sub = table.values[members.start : b : members.step]
     return sub[sub != 0]
 
 
 def _charge_sign_sequence(a: int, b: int, parity: str, limit: int) -> None:
     """Charge a table of mu(1..limit) and the copies of a sign sequence over
     the parity class in [a, b), before either exists."""
-    members = b - a if parity == "all" else (b - a + (a % 2 == (parity == "odd"))) // 2
+    members = len(_members(a, b, parity))
     _charge(
         limit + 1 + _SIGN_SEQUENCE_BYTES_PER_ENTRY * members,
         f"a sign sequence over {members} {parity} integers",
@@ -250,13 +251,15 @@ def coin_walk_simulate(
 
     fraction_within_c_sqrt counts |S| <= c * sqrt(steps); the limit of
     that fraction is normal_cdf(c) - normal_cdf(-c). fraction_within_power
-    counts |S| < steps^(1/2 + epsilon), whose limit is 1. The terminals and
-    np.std's deviations are charged to the memory budget, as are the walks.
+    counts |S| < steps^(1/2 + epsilon), whose limit is 1. c and epsilon
+    must be positive and finite. The terminals and np.std's deviations are
+    charged to the memory budget, as are the walks.
     """
-    if c <= 0:
-        raise ValueError("c must be > 0")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    for name, value in (("c", c), ("epsilon", epsilon)):
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     _charge(_WALK_SUMMARY_BYTES_PER_TRIAL * trials, f"a summary of {trials} walks")
     terminals = coin_walk_terminals(steps, trials, seed)
     mean, std = float(np.mean(terminals)), float(np.std(terminals))
@@ -384,7 +387,8 @@ def chi_square_balance(seq, sequence: str = "sequence") -> TestReport:
 
 def runs_test(seq, sequence: str = "sequence") -> TestReport:
     """Wald-Wolfowitz runs test on the signs, z-scored against the
-    run-count mean and variance conditional on the observed counts."""
+    run-count mean and variance conditional on the observed counts. A
+    sequence of one sign has no z-score (None) and p-value 0."""
     arr = _as_sign_array(seq)
     _check_length(arr, "runs_test")
     n = arr.size
@@ -397,7 +401,6 @@ def runs_test(seq, sequence: str = "sequence") -> TestReport:
             sequence=sequence,
             statistic=float(runs),
             p_value=0.0,
-            z_score=float("-inf"),
         )
     mean = 1 + 2 * plus * minus / n
     var = 2 * plus * minus * (2 * plus * minus - n) / (n * n * (n - 1))

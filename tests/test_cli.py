@@ -33,6 +33,15 @@ def default_digit_limit():
         sys.set_int_max_str_digits(old)
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in the JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def as_fraction(field: dict) -> Fraction:
     return Fraction(int(field["num"]), int(field["den"]))
 
@@ -315,6 +324,15 @@ class TestCointossCommand:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--c", "nan"), ("--c", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf")]
+    )
+    def test_non_finite_parameters_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "cointoss", "--steps", "100", "--trials", "100", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2:]} must be finite" in err
+
 
 class TestMustatsCommand:
     def test_short_range_rejected(self, capsys, tmp_path):
@@ -349,6 +367,16 @@ class TestMustatsCommand:
         chi = next(r for r in reports if r["test"] == "chi_square_balance")
         assert chi["p_value"] < 0.01
         assert "coin" in chi["sequence"]
+
+    def test_one_sign_sequence_has_a_null_z_score(self, capsys):
+        # at P(+1) = 0.99999 the 199 synthetic signs are all +1
+        code, out, _ = run(
+            capsys, "mustats", "--range", "1:200", "--synthetic", "--bias", "0.99999"
+        )
+        assert code == 0
+        runs = strict_json(out)[1]
+        assert runs["test"] == "runs_test"
+        assert runs["z_score"] is None and runs["p_value"] == 0.0
 
     def test_synthetic_over_budget_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "mustats", "--range", f"1:{10**11}", "--synthetic")

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiuslab import MoebiusTable, ResourceLimitError, sieve_moebius
+from mobiuslab import identity as identity_module
+from mobiuslab import sieve as sieve_module
 from mobiuslab.identity import (
     _divisor_items,
     _identity_sum,
@@ -213,25 +215,35 @@ class TestIdentityBlocks:
         assert not odd[1::2].any()
 
     @pytest.mark.parametrize("block_size", [1, 2, 7, 64, 999, 1500, 4096])
-    def test_block_size_does_not_change_output(self, table_10k, block_size):
+    def test_block_size_does_not_change_output(self, monkeypatch, table_10k, block_size):
         mu = table_10k.values
         lo, hi = (2, 600) if block_size <= 2 else (2, 3001)
-        assert np.array_equal(range_sums(lo, hi, mu, block_size=block_size), range_sums(lo, hi, mu))
-        odd = range_sums(lo + 1, hi, mu, odd=True, block_size=block_size)
-        assert np.array_equal(odd, range_sums(lo + 1, hi, mu, odd=True))
+        whole = range_sums(lo, hi, mu)
+        whole_odd = range_sums(lo + 1, hi, mu, odd=True)
+        monkeypatch.setattr(identity_module, "IDENTITY_BLOCK_SIZE", block_size)
+        assert np.array_equal(range_sums(lo, hi, mu), whole)
+        assert np.array_equal(range_sums(lo + 1, hi, mu, odd=True), whole_odd)
 
-    def test_blocks_are_bounded(self, table_10k):
-        blocks = identity_blocks(2, 10**4 + 1, table_10k.values, block_size=999)
+    def test_blocks_are_bounded(self, monkeypatch, table_10k):
+        monkeypatch.setattr(identity_module, "IDENTITY_BLOCK_SIZE", 999)
+        blocks = identity_blocks(2, 10**4 + 1, table_10k.values)
         sizes = [sums.size for _, sums in blocks]
         assert max(sizes) == 999 and sum(sizes) == 10**4 - 1
 
-    def test_wrong_table_agrees_with_scalar(self):
+    def test_block_size_read_at_each_call(self, monkeypatch, table_10k):
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 1000)
+        monkeypatch.setattr(identity_module, "IDENTITY_BLOCK_SIZE", 999)
+        with pytest.raises(ResourceLimitError, match="blocks of 999 "):
+            identity_blocks(2, 10**4 + 1, table_10k.values)
+
+    def test_wrong_table_agrees_with_scalar(self, monkeypatch):
         # the engine reads mu only from the table, as the scalar form does
         rng = np.random.default_rng(3)
         values = rng.integers(-1, 2, 2001).astype(np.int8)
         values[0] = 0
         table = MoebiusTable(limit=2000, values=values)
-        got = range_sums(2, 2001, values, block_size=333)
+        monkeypatch.setattr(identity_module, "IDENTITY_BLOCK_SIZE", 333)
+        got = range_sums(2, 2001, values)
         assert got.tolist() == [moebius_via_identity(n, table) for n in range(2, 2001)]
 
     def test_empty_range(self, table_10k):
@@ -240,8 +252,6 @@ class TestIdentityBlocks:
     def test_bad_arguments_rejected(self, table_10k):
         with pytest.raises(ValueError):
             identity_blocks(1, 10, table_10k.values)
-        with pytest.raises(ValueError):
-            identity_blocks(2, 10, table_10k.values, block_size=0)
         with pytest.raises(ValueError, match="up to 11"):
             identity_blocks(2, 122, sieve_moebius(9).values)
 

@@ -147,11 +147,13 @@ class TestSieve:
         v = table_100k.values
         assert int(v[a * b]) == int(v[a]) * int(v[b])
 
-    def test_segmentation_does_not_change_output(self):
+    def test_segmentation_does_not_change_output(self, monkeypatch):
         limit = 10**6
-        whole = sieve_moebius(limit, segment_size=limit)
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", limit)
+        whole = sieve_moebius(limit)
         for seg in (1 << 16, 1 << 20):
-            assert np.array_equal(sieve_moebius(limit, segment_size=seg).values, whole.values)
+            monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", seg)
+            assert np.array_equal(sieve_moebius(limit).values, whole.values)
 
     def test_squarefree_density_near_limit(self, table_10m):
         freq = np.count_nonzero(table_10m.values[1:]) / table_10m.limit
@@ -166,27 +168,37 @@ class TestSieve:
         with pytest.raises(ResourceLimitError, match="1000000 bytes"):
             sieve_moebius(10**8)
 
+    def test_segment_size_read_at_each_call(self, monkeypatch):
+        # the table's 1001 bytes plus 2 bytes of scratch for each of 7 odd slots
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 1000)
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 7)
+        with pytest.raises(ResourceLimitError, match="needs ~1015 bytes"):
+            sieve_moebius(1000)
+
 
 class TestLogSumKernel:
     """The uint8 log-sum kernel against the residual-product reference."""
 
     @pytest.mark.parametrize("segment_size", [1, 7, DEFAULT_SEGMENT_SIZE])
-    def test_matches_reference_at_small_limits(self, reference_3000, segment_size):
+    def test_matches_reference_at_small_limits(self, monkeypatch, reference_3000, segment_size):
         # segment sizes 1 and 7 cost one kernel call per few entries at every
         # limit, so they run on every limit up to 256 and around omega's last step
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", segment_size)
         limits = range(1, 3001) if segment_size == DEFAULT_SEGMENT_SIZE else SMALL_SEGMENT_LIMITS
         for limit in limits:
-            got = sieve_moebius(limit, segment_size=segment_size).values
+            got = sieve_moebius(limit).values
             assert np.array_equal(got, reference_3000[: limit + 1]), limit
 
     @pytest.mark.parametrize("segment_size", [1 << 16, 1 << 20, 1 << 22])
-    def test_matches_reference_at_1e7(self, reference_10m, segment_size):
-        got = sieve_moebius(10**7, segment_size=segment_size).values
+    def test_matches_reference_at_1e7(self, monkeypatch, reference_10m, segment_size):
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", segment_size)
+        got = sieve_moebius(10**7).values
         assert np.array_equal(got, reference_10m)
 
     @pytest.mark.parametrize("segment_size", EDGE_SEGMENT_SIZES)
-    def test_matches_reference_at_segment_edges(self, reference_edges, segment_size):
-        got = sieve_moebius(EDGE_LIMIT, segment_size=segment_size).values
+    def test_matches_reference_at_segment_edges(self, monkeypatch, reference_edges, segment_size):
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", segment_size)
+        got = sieve_moebius(EDGE_LIMIT).values
         assert np.array_equal(got, reference_edges)
 
     @pytest.mark.parametrize("near", [10**9, 10**12])
@@ -206,10 +218,11 @@ class TestLogSumKernel:
         for j in rand.sample(range(4096), 64):
             assert int(got[j]) == moebius_at(lo + 2 * j), lo + 2 * j
 
-    def test_matches_reference_with_segments_below_the_prime_bound(self):
+    def test_matches_reference_with_segments_below_the_prime_bound(self, monkeypatch):
         # 2^10-wide segments at 2e6: base primes up to 1414 step over whole segments
         limit = 2 * 10**6
-        got = sieve_moebius(limit, segment_size=1 << 10).values
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 1 << 10)
+        got = sieve_moebius(limit).values
         assert np.array_equal(got, reference_sieve(limit))
 
     def test_omega_max_against_distinct_prime_counts(self):

@@ -161,6 +161,14 @@ class TestSpanCounts:
         with pytest.raises(ValueError, match="parity"):
             span_counts([1, 100], "prime", table_10k)
 
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_members_match_a_filter(self, parity):
+        keep = {"all": lambda n: True, "odd": lambda n: n % 2, "even": lambda n: n % 2 == 0}
+        for a in range(1, 41):
+            for b in range(a + 1, 41):
+                got = list(stochastic_module._members(a, b, parity))
+                assert got == [n for n in range(a, b) if keep[parity](n)], (a, b)
+
     @pytest.mark.parametrize(
         "edges", [[5, 5], [1, 7, 3], [0, 10], [1, 10**4 + 2]]
     )
@@ -270,6 +278,11 @@ class TestCoinWalks:
             coin_walk_simulate(10, 10, 0, 0.0, 0.1)
         with pytest.raises(ValueError):
             coin_walk_simulate(10, 10, 0, 1.0, 0.0)
+        for c, epsilon in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                coin_walk_simulate(10, 10, 0, c, epsilon)
+        with pytest.raises(ValueError, match="c must be > 0"):
+            coin_walk_simulate(10, 10, 0, -math.inf, 0.1)
 
     def test_blocks_capped_by_row_length(self):
         # 65537 words a row, so a block holds 3 trials where it used to hold 4096
@@ -423,6 +436,8 @@ class TestRandomnessTests:
         seq = np.ones(1000, dtype=np.int8)
         assert chi_square_balance(seq).p_value < 1e-6
         assert runs_test(seq).p_value == 0.0
+        assert runs_test(seq).z_score is None
+        assert runs_test(-seq).z_score is None
         assert lag_autocorrelation(seq, 1).p_value == 1.0
 
     def test_too_short_sequences_rejected(self):

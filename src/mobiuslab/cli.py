@@ -34,6 +34,7 @@ import numpy as np
 
 from mobiuslab.identity import identity_blocks
 from mobiuslab.probability import (
+    _check_n,
     delta_prob,
     density_limits,
     harmonic_series,
@@ -46,6 +47,7 @@ from mobiuslab.sieve import (
     CorruptCacheError,
     MoebiusTable,
     ResourceLimitError,
+    _charge,
     load_table,
     save_table,
     sieve_moebius,
@@ -59,7 +61,6 @@ from mobiuslab.stochastic import (
     coin_walk_simulate,
     lag_autocorrelation,
     mertens_walk_stats,
-    normal_cdf,
     runs_test,
     sign_sequence_squarefree,
     span_counts,
@@ -68,6 +69,10 @@ from mobiuslab.stochastic import (
 CACHE_ENV_VAR = "MOBIUSLAB_CACHE_DIR"
 DENSITY_CSV_HEADER = ["n", "freq_minus", "freq_plus", "freq_zero", "freq_squarefree", "limit"]
 WALK_CSV_HEADER = ["n", "M", "sqrt_n", "ratio", "shift_term"]
+# Peak bytes per density row beyond the table: the edges, the counts, the row
+# dicts and the output text.
+_DENSITY_CSV_BYTES_PER_ROW = 620
+_DENSITY_JSON_BYTES_PER_ROW = 1900
 
 
 def _positive_int(text: str) -> int:
@@ -201,6 +206,7 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
 
 def cmd_probs(args: argparse.Namespace) -> int:
     n = args.n
+    _check_n(n, "general" if args.parity == "all" else args.parity)  # before a sieve could run
     table = ensure_table(max(isqrt(n) + 10, 100), args.cache_dir)
     series = harmonic_series(isqrt(n), table)
     # Built per call, so that wrappers installed on these module names (a tracer,
@@ -223,6 +229,11 @@ def cmd_probs(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    # Windows, or at most 8 cumulative checkpoints a decade; charged with the
+    # table before a sieve could run.
+    rows = -(-args.limit // args.window) if args.window else 8 * len(str(args.limit))
+    per_row = _DENSITY_JSON_BYTES_PER_ROW if args.fmt == "json" else _DENSITY_CSV_BYTES_PER_ROW
+    _charge(args.limit + 1 + per_row * rows, f"{rows} {args.fmt} density rows over [1, {args.limit}]")
     table = ensure_table(args.limit, args.cache_dir)
     if args.window:
         edges = list(range(1, args.limit + 1, args.window)) + [args.limit + 1]
@@ -267,19 +278,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 def cmd_cointoss(args: argparse.Namespace) -> int:
     summary = coin_walk_simulate(args.steps, args.trials, args.seed, args.c, args.epsilon)
-    payload = {
-        "steps": summary.steps,
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "c": summary.c,
-        "epsilon": summary.epsilon,
-        "fraction_within_c_sqrt": summary.fraction_within_c_sqrt,
-        "fraction_within_power": summary.fraction_within_power,
-        "theoretical_within_c": normal_cdf(args.c) - normal_cdf(-args.c),
-        "mean_terminal": summary.mean_terminal,
-        "std_terminal": summary.std_terminal,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(summary), indent=2) + "\n", args.out)
     return 0
 
 

@@ -18,7 +18,9 @@ at most IDENTITY_BLOCK_SIZE, so the int32 accumulator stays bounded.
 
 The same sum restricted to odd indices reproduces mu on odd n, and more
 generally restricting indices to those coprime to any prime set that n
-avoids leaves the value intact. bootstrap_identity rebuilds the whole
+avoids leaves the value intact: only divisors of n fire, and they avoid
+every prime n avoids, so the restricted forms are the full sum at every
+n they accept. bootstrap_identity rebuilds the whole
 table from the identity alone, seeded only with mu(1) = 1.
 """
 
@@ -81,12 +83,11 @@ def moebius_via_identity(n: int, mu_prefix: MoebiusTable) -> int:
 
 
 def moebius_via_identity_odd(n: int, mu_prefix: MoebiusTable) -> int:
-    """Odd-restricted delta sum; defined for odd n >= 3 and equals mu(n)."""
+    """Odd-restricted delta sum; defined for odd n >= 3 and equals mu(n).
+    Every divisor of an odd n is odd, so this is the full sum."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    cutoff = _require_prefix(n, mu_prefix)
-    items = [(d, m) for d, m in _divisor_items(n, cutoff, mu_prefix.values) if d % 2]
-    return _identity_sum(n, items)
+    return moebius_via_identity(n, mu_prefix)
 
 
 def moebius_via_identity_coprime(
@@ -94,22 +95,16 @@ def moebius_via_identity_coprime(
 ) -> int:
     """Delta sum over indices coprime to every excluded prime.
 
-    n itself must avoid the excluded primes; divisors of n then survive
-    the restriction automatically, so the value is still mu(n). With all
-    primes below a prime n excluded, only the (1, 1) term remains.
+    n itself must avoid the excluded primes; divisors of n then avoid them
+    too, so the restriction drops no term and this is the full sum, mu(n).
+    With all primes below a prime n excluded, only the (1, 1) term remains.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     for p in excluded_primes:
         if n % p == 0:
             raise ValueError(f"n={n} shares factor {p} with the excluded set")
-    cutoff = _require_prefix(n, mu_prefix)
-    items = [
-        (d, m)
-        for d, m in _divisor_items(n, cutoff, mu_prefix.values)
-        if all(d % p for p in excluded_primes)
-    ]
-    return _identity_sum(n, items)
+    return moebius_via_identity(n, mu_prefix)
 
 
 def _identity_block(lo: int, hi: int, mu: np.ndarray, odd: bool) -> np.ndarray:

@@ -19,8 +19,9 @@ squarefree i <= K, so every nonzero term mu(i)/i has an exact numerator.
 The terms are summed in blocks of at most 64 consecutive i, each block over
 its own small lcm and then scaled once to P, so the big integers are
 touched once per block and not once per i. Fractions are formed only at
-the requested cutoffs; callers that need only a float of n * m_K^2 divide
-the integers directly, which rounds correctly with no gcd.
+the requested cutoffs; shift_numerators gives n * m_K^2 as an integer
+ratio, so callers that need only its float divide the integers directly,
+which rounds correctly with no gcd.
 """
 
 from __future__ import annotations
@@ -119,6 +120,17 @@ def _numerators(
             lo = hi
         out[k] = (a, a_odd, b, b_odd)
     return big, out
+
+
+def shift_numerators(
+    ns: Iterable[int], mu_prefix: MoebiusTable
+) -> tuple[int, dict[int, int]]:
+    """D and {n: N} with N / D = n * m_K^2 exactly, K = floor(sqrt(n)), n >= 1:
+    D = P^2 and N = n a^2 for the numerator a of m_K = a/P, so the int/int
+    true division N / D is the correctly rounded float, with no gcd."""
+    ns = list(ns)
+    big, numerators = _numerators({isqrt(n) for n in ns}, mu_prefix, full=False)
+    return big * big, {n: n * numerators[isqrt(n)][0] ** 2 for n in ns}
 
 
 def harmonic_series_many(

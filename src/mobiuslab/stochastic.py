@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
 from mobiuslab import rng
-from mobiuslab.probability import _numerators, density_limits
+from mobiuslab.probability import density_limits, shift_numerators
 from mobiuslab.sieve import MoebiusTable, _charge
 
 MIN_TEST_LENGTH = 100
@@ -62,6 +61,7 @@ class WalkSummary:
     epsilon: float
     fraction_within_c_sqrt: float
     fraction_within_power: float
+    theoretical_within_c: float  # the de Moivre-Laplace limit of fraction_within_c_sqrt
     mean_terminal: float
     std_terminal: float
 
@@ -249,11 +249,11 @@ def coin_walk_simulate(
 ) -> WalkSummary:
     """Simulate fair-coin walks and report the |S| concentration fractions.
 
-    fraction_within_c_sqrt counts |S| <= c * sqrt(steps); the limit of
-    that fraction is normal_cdf(c) - normal_cdf(-c). fraction_within_power
-    counts |S| < steps^(1/2 + epsilon), whose limit is 1. c and epsilon
-    must be positive and finite. The terminals and np.std's deviations are
-    charged to the memory budget, as are the walks.
+    fraction_within_c_sqrt counts |S| <= c * sqrt(steps); its limit,
+    normal_cdf(c) - normal_cdf(-c), is theoretical_within_c.
+    fraction_within_power counts |S| < steps^(1/2 + epsilon), whose limit
+    is 1. c and epsilon must be positive and finite. The terminals and
+    np.std's deviations are charged to the memory budget, as are the walks.
     """
     for name, value in (("c", c), ("epsilon", epsilon)):
         if value <= 0:
@@ -265,7 +265,9 @@ def coin_walk_simulate(
     mean, std = float(np.mean(terminals)), float(np.std(terminals))
     absolutes = np.abs(terminals, out=terminals)
     within_c = float(np.mean(absolutes <= c * math.sqrt(steps)))
-    within_power = float(np.mean(absolutes < steps ** (0.5 + epsilon)))
+    # Capped at 2 so that a huge epsilon cannot overflow the float power: from
+    # epsilon = 1.5 on, every |S| <= steps is below both bounds or neither.
+    within_power = float(np.mean(absolutes < steps ** min(0.5 + epsilon, 2.0)))
     return WalkSummary(
         steps=steps,
         trials=trials,
@@ -274,6 +276,7 @@ def coin_walk_simulate(
         epsilon=epsilon,
         fraction_within_c_sqrt=within_c,
         fraction_within_power=within_power,
+        theoretical_within_c=normal_cdf(c) - normal_cdf(-c),
         mean_terminal=mean,
         std_terminal=std,
     )
@@ -288,10 +291,8 @@ def shift_term(n: int, mu_prefix: MoebiusTable) -> Fraction:
     """Systematic Mertens drift estimate n * m_K^2 at K = floor(sqrt(n))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cutoff = isqrt(n)
-    big, numerators = _numerators([cutoff], mu_prefix, full=False)
-    a = numerators[cutoff][0]
-    return Fraction(n * a * a, big * big)
+    denominator, numerators = shift_numerators([n], mu_prefix)
+    return Fraction(numerators[n], denominator)
 
 
 def checkpoint_grid(lo: int, hi: int) -> list[int]:
@@ -317,18 +318,12 @@ def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
     if mu_prefix.limit < limit:
         raise ValueError(f"table covers {mu_prefix.limit}, need {limit}")
     points = checkpoint_grid(1000, limit)
-    cutoffs = sorted({isqrt(n) for n in points})
-    big, numerators = _numerators(cutoffs, mu_prefix, full=False)
     checkpoints = np.array(points, dtype=np.int64)
     counts = span_counts([1] + [n + 1 for n in points], "all", mu_prefix)
     m_values = np.cumsum(counts[:, 1] - counts[:, 0])
     ratios = np.abs(m_values) / np.sqrt(checkpoints.astype(np.float64))
-    # n a^2 / P^2 is n m^2 exactly, and int/int true division rounds it
-    # correctly: the same double as float(n * m**2), with no gcd.
-    big2 = big * big
-    shifts = np.array(
-        [n * numerators[isqrt(n)][0] ** 2 / big2 for n in points], dtype=np.float64
-    )
+    denominator, numerators = shift_numerators(points, mu_prefix)
+    shifts = np.array([numerators[n] / denominator for n in points], dtype=np.float64)
     running_max = np.maximum.accumulate(np.abs(m_values))
     log_n = np.log(checkpoints.astype(np.float64))
     log_rm = np.log(np.maximum(running_max, 1).astype(np.float64))
@@ -346,10 +341,10 @@ def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
     )
 
 
-def _as_sign_array(seq) -> np.ndarray:
-    """seq as a checked +/-1 array: an int8 array as it is, with no copy (the
-    tests count and compare its entries, and sum it in int64), any other
-    input converted to int64."""
+def _as_sign_array(seq, test: str) -> np.ndarray:
+    """seq as a checked +/-1 array of at least MIN_TEST_LENGTH entries for a
+    test: an int8 array as it is, with no copy (the tests count and compare
+    its entries, and sum it in int64), any other input converted to int64."""
     if isinstance(seq, np.ndarray) and seq.dtype == np.int8:
         arr = seq
     else:
@@ -358,20 +353,16 @@ def _as_sign_array(seq) -> np.ndarray:
         raise ValueError("sequence must be one-dimensional")
     if arr.size and not np.all(np.abs(arr) == 1):
         raise ValueError("sequence entries must be +1 or -1")
-    return arr
-
-
-def _check_length(arr: np.ndarray, test: str) -> None:
     if arr.size < MIN_TEST_LENGTH:
         raise ValueError(
             f"{test} needs at least {MIN_TEST_LENGTH} entries, got {arr.size}"
         )
+    return arr
 
 
 def chi_square_balance(seq, sequence: str = "sequence") -> TestReport:
     """Chi-square of the +/-1 counts against a fair 50/50 split (1 dof)."""
-    arr = _as_sign_array(seq)
-    _check_length(arr, "chi_square_balance")
+    arr = _as_sign_array(seq, "chi_square_balance")
     n = arr.size
     plus = int(np.count_nonzero(arr == 1))
     minus = n - plus
@@ -389,8 +380,7 @@ def runs_test(seq, sequence: str = "sequence") -> TestReport:
     """Wald-Wolfowitz runs test on the signs, z-scored against the
     run-count mean and variance conditional on the observed counts. A
     sequence of one sign has no z-score (None) and p-value 0."""
-    arr = _as_sign_array(seq)
-    _check_length(arr, "runs_test")
+    arr = _as_sign_array(seq, "runs_test")
     n = arr.size
     plus = int(np.count_nonzero(arr == 1))
     minus = n - plus
@@ -419,8 +409,7 @@ def lag_autocorrelation(seq, lag: int, sequence: str = "sequence") -> TestReport
     """Sample autocorrelation at the given lag, z-scored as sqrt(n) * r."""
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    arr = _as_sign_array(seq)
-    _check_length(arr, "lag_autocorrelation")
+    arr = _as_sign_array(seq, "lag_autocorrelation")
     n = arr.size
     if lag >= n:
         raise ValueError(f"lag {lag} must be below the sequence length {n}")

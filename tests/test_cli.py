@@ -193,7 +193,15 @@ class TestProbsCommand:
             capsys, "probs", "--n", "10", "--parity", "odd", "--cache-dir", str(tmp_path)
         )
         assert code == 2
-        assert err
+        assert "odd class requires odd n" in err and "sieving" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_below_two_exits_before_it_sieves(self, capsys, tmp_path):
+        code, out, err = run(capsys, "probs", "--n", "1", "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "n must be >= 2" in err and "sieving" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDensityCommand:
@@ -250,6 +258,19 @@ class TestDensityCommand:
         assert code == 0
         assert "sieving" not in err
         assert peak < table_10m.values.nbytes + 4 * 2**20
+
+    def test_rows_are_charged_before_the_table(self, capsys, tmp_path, monkeypatch):
+        # 1000 one-number windows fit a 1e6-byte budget as CSV, not as JSON
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 1_000_000)
+        args = ["density", "--max", "1000", "--window", "1", "--cache-dir", str(tmp_path)]
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err and "sieving" not in err
+        assert list(tmp_path.iterdir()) == []
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert len(out.splitlines()) == 1001
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "density.csv"
@@ -310,6 +331,13 @@ class TestCointossCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["theoretical_within_c"] == pytest.approx(0.9500042, abs=1e-6)
+
+    def test_huge_epsilon_is_a_valid_request(self, capsys):
+        code, out, _ = run(
+            capsys, "cointoss", "--steps", "100", "--trials", "10", "--epsilon", "1000"
+        )
+        assert code == 0
+        assert json.loads(out)["fraction_within_power"] == 1.0
 
     def test_over_budget_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "cointoss", "--steps", str(10**12), "--trials", "1")

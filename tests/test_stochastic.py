@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mobiuslab import ResourceLimitError, harmonic_series, mertens_series, rng, sieve_moebius
 from mobiuslab import stochastic as stochastic_module
+from mobiuslab.probability import shift_numerators
 from mobiuslab.stochastic import (
     _COIN_BLOCK_BYTES,
     MIN_TEST_LENGTH,
@@ -262,12 +263,20 @@ class TestCoinWalks:
     def test_de_moivre_laplace_fraction(self):
         summary = coin_walk_simulate(10**4, 4000, seed=1, c=1.96, epsilon=0.1)
         expected = normal_cdf(1.96) - normal_cdf(-1.96)
+        assert summary.theoretical_within_c == expected
         assert abs(summary.fraction_within_c_sqrt - expected) < 0.02
 
     def test_power_bound_fraction_grows_with_steps(self):
         small = coin_walk_simulate(10**2, 10**4, seed=2, c=1.96, epsilon=0.1)
         large = coin_walk_simulate(10**4, 10**4, seed=2, c=1.96, epsilon=0.1)
         assert large.fraction_within_power > small.fraction_within_power
+
+    def test_huge_epsilon_gives_the_fractions_of_epsilon_1_5(self):
+        # steps^(1/2 + epsilon) overflows a float from epsilon ~ 154 on at 100 steps
+        for steps, fraction in ((100, 1.0), (1, 0.0)):
+            for epsilon in (1.5, 1000.0):
+                summary = coin_walk_simulate(steps, 10, 0, 1.96, epsilon)
+                assert summary.fraction_within_power == fraction, (steps, epsilon)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -412,8 +421,14 @@ class TestMertensWalk:
     def test_shift_terms_are_the_rounded_exact_series(self):
         table = sieve_moebius(10**6)
         stats = mertens_walk_stats(10**6, table)
-        for n, shift in zip(stats.checkpoints.tolist(), stats.shift_terms.tolist()):
-            assert shift == float(n * harmonic_series(math.isqrt(n), table).m ** 2), n
+        shifts = dict(zip(stats.checkpoints.tolist(), stats.shift_terms.tolist()))
+        # and the exact ratios behind them, also below the grid and at cutoff edges
+        denominator, numerators = shift_numerators([*shifts, 1, 3, 4, 8, 9, 999_999], table)
+        for n, numerator in numerators.items():
+            exact = n * harmonic_series(math.isqrt(n), table).m ** 2
+            assert Fraction(numerator, denominator) == exact, n
+            if n in shifts:
+                assert shifts[n] == float(exact), n
 
     def test_shift_term_closed_forms(self, table_10k):
         # m_3 = 1/6 so the shift is n/36 while floor(sqrt(n)) = 3

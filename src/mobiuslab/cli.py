@@ -9,10 +9,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parameter
 error, 3 corrupt cache file.
 
 A corrupt cache file is reported with exit 3 and left as it is, not
-sieved over. save_table writes a temp file, fsyncs it and renames it into
-place, so no run of this program, killed or concurrent, leaves a corrupt
-file behind; one that fails to load was damaged from outside, and that
-is reported rather than hidden.
+sieved over. A command reads and validates only the prefix [1, limit] it
+needs; damage past it is reported by the first command that reads it.
+save_table writes a temp file, fsyncs it and renames it into place, so
+no run of this program, killed or concurrent, leaves a corrupt file
+behind; one that fails to load was damaged from outside, and that is
+reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ def resolve_cache_dir(flag_value: str | None) -> Path:
 
 
 def ensure_table(limit: int, cache_dir: Path) -> MoebiusTable:
-    """Load the smallest adequate cached table, sieving on a miss."""
+    """mu(1..limit) from the smallest cached table named as covering it,
+    reading only that prefix, or sieved and cached on a miss."""
     best: tuple[int, Path] | None = None
     if cache_dir.is_dir():
         for path in cache_dir.glob("moebius_*.mobs"):
@@ -110,9 +113,7 @@ def ensure_table(limit: int, cache_dir: Path) -> MoebiusTable:
             if cached_limit >= limit and (best is None or cached_limit < best[0]):
                 best = (cached_limit, path)
     if best is not None:
-        table = load_table(best[1])
-        if table.limit >= limit:
-            return table
+        return load_table(best[1], limit)
     print(f"sieving mu up to {limit} (no cached table found)", file=sys.stderr)
     table = sieve_moebius(limit)
     _save_cached(table, cache_dir)
@@ -207,6 +208,9 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
 def cmd_probs(args: argparse.Namespace) -> int:
     n = args.n
     _check_n(n, "general" if args.parity == "all" else args.parity)  # before a sieve could run
+    # interval_of needs a squarefree b in (root, root + 10]: the longest run of
+    # non-squarefree integers below 1e8 has 9 members (8870024-8870032), so this holds
+    # for every root below 1e8. Warm and cold calls read the same prefix.
     table = ensure_table(max(isqrt(n) + 10, 100), args.cache_dir)
     series = harmonic_series(isqrt(n), table)
     # Built per call, so that wrappers installed on these module names (a tracer,

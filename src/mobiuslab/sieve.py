@@ -37,7 +37,9 @@ true at small limits.
 
 Tables persist to a small versioned binary format (see save_table /
 load_table); save_table replaces a file in one rename, and a corrupted or
-truncated file raises CorruptCacheError.
+truncated file raises CorruptCacheError. load_table(path, limit) reads
+and validates only the prefix 1..limit, so damage past it is reported by
+the first call that reads it.
 """
 
 from __future__ import annotations
@@ -290,25 +292,34 @@ def save_table(table: MoebiusTable, path: str | Path) -> None:
         raise
 
 
-def load_table(path: str | Path) -> MoebiusTable:
-    """Read a cache file back; any format deviation raises CorruptCacheError."""
+def load_table(path: str | Path, limit: int | None = None) -> MoebiusTable:
+    """Read mu(1..limit), or the whole table, from a cache file.
+
+    Header, version and file size are checked at every limit, so truncation
+    raises; only entries 1..limit are read, range-checked and charged to
+    the budget. Any deviation, or fewer entries than limit, raises
+    CorruptCacheError."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise CorruptCacheError(f"{path}: truncated header")
-        magic, version, limit = _HEADER.unpack(header)
+        magic, version, declared = _HEADER.unpack(header)
         if magic != CACHE_MAGIC:
             raise CorruptCacheError(f"{path}: bad magic {magic!r}")
         if version != CACHE_VERSION:
             raise CorruptCacheError(f"{path}: unsupported version {version}")
-        if limit < 1:
-            raise CorruptCacheError(f"{path}: invalid limit {limit}")
+        if declared < 1:
+            raise CorruptCacheError(f"{path}: invalid limit {declared}")
         payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if payload != limit:
+        if payload != declared:
             raise CorruptCacheError(
-                f"{path}: payload holds {payload} values, header declares {limit}"
+                f"{path}: payload holds {payload} values, header declares {declared}"
             )
+        limit = declared if limit is None else limit
+        if declared < limit:
+            raise CorruptCacheError(f"{path}: header declares {declared} values, {limit} requested")
+        _charge(limit + 1, f"table load of limit {limit}")
         values = np.empty(limit + 1, dtype=np.int8)
         values[0] = 0
         if fh.readinto(values[1:].data) != limit:

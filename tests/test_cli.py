@@ -453,6 +453,39 @@ class TestCaching:
         assert (tmp_path / "moebius_600.mobs").read_bytes() == raw
         assert [p.name for p in tmp_path.iterdir()] == ["moebius_600.mobs"]
 
+    def test_misnamed_file_exits_three(self, capsys, tmp_path):
+        # a file named for 1000 entries that holds 500 is reported, not sieved over
+        path = tmp_path / "moebius_1000.mobs"
+        save_table(sieve_moebius(500), path)
+        raw = path.read_bytes()
+        code, out, err = run(capsys, "density", "--max", "1000", "--cache-dir", str(tmp_path))
+        assert code == 3 and out == ""
+        assert "header declares 500 values, 1000 requested" in err and "sieving" not in err
+        assert path.read_bytes() == raw
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_damage_past_the_prefix_is_reported_by_its_first_reader(self, capsys, tmp_path):
+        path = tmp_path / "moebius_1000.mobs"
+        save_table(sieve_moebius(1000), path)
+        argv = ["density", "--max", "600", "--cache-dir", str(tmp_path)]
+        pristine = run(capsys, *argv)
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 7
+        path.write_bytes(raw)
+        assert run(capsys, *argv) == pristine
+        code, out, err = run(capsys, "density", "--max", "1000", "--cache-dir", str(tmp_path))
+        assert code == 3 and out == ""
+        assert "corrupt" in err and "sieving" not in err
+        assert path.read_bytes() == raw
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_warm_probs_reads_the_table_a_cold_call_sieves(self, capsys, tmp_path):
+        argv = ["probs", "--n", "1000003", "--parity", "odd", "--cache-dir"]
+        code, cold, err = run(capsys, *argv, str(tmp_path / "cold"))
+        assert code == 0 and "sieving mu up to 1010" in err
+        run(capsys, "sieve", "--limit", "1000000", "--cache-dir", str(tmp_path / "warm"))
+        assert run(capsys, *argv, str(tmp_path / "warm")) == (0, cold, "")
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
         code, _, _ = run(capsys, "sieve", "--limit", "300")

@@ -442,6 +442,43 @@ class TestCacheFormat:
         with pytest.raises(OSError):
             load_table(tmp_path / "absent.mobs")
 
+    def test_prefix_equals_the_head_of_the_full_table(self, tmp_path, table_10k):
+        path = tmp_path / "t.mobs"
+        save_table(table_10k, path)
+        limit = table_10k.limit
+        for k in (1, 7, 8, 9, limit - 1, limit):
+            loaded = load_table(path, k)
+            assert loaded.limit == k
+            assert np.array_equal(loaded.values, table_10k.values[: k + 1])
+            assert not loaded.values.flags.writeable
+
+    def test_damage_past_the_prefix_is_not_read(self, tmp_path, table_10k):
+        path = tmp_path / "t.mobs"
+        save_table(table_10k, path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 7
+        path.write_bytes(raw)
+        limit = table_10k.limit
+        assert np.array_equal(load_table(path, limit - 1).values, table_10k.values[:limit])
+        for k in (limit, None):
+            with pytest.raises(CorruptCacheError, match="outside"):
+                load_table(path, k)
+
+    def test_truncated_file_raises_at_every_prefix(self, tmp_path, table_10k):
+        path = tmp_path / "t.mobs"
+        save_table(table_10k, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        for k in (1, 7, 8, 9, table_10k.limit - 1, table_10k.limit, None):
+            with pytest.raises(CorruptCacheError, match="payload holds 9999 values"):
+                load_table(path, k)
+
+    def test_fewer_entries_than_requested(self, tmp_path):
+        path = tmp_path / "moebius_1000.mobs"
+        save_table(sieve_moebius(500), path)
+        message = r"moebius_1000\.mobs: header declares 500 values, 1000 requested"
+        with pytest.raises(CorruptCacheError, match=message):
+            load_table(path, 1000)
+
 
 # Each charged allocation, at a size that would allocate ~100 KB to ~17 MB.
 CHARGED_SITES = {
@@ -463,6 +500,21 @@ def test_charged_sites_raise_before_allocating(site, monkeypatch, table_100k):
     try:
         with pytest.raises(ResourceLimitError, match="over the memory budget of 4096 bytes$"):
             CHARGED_SITES[site](table_100k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
+
+
+def test_table_load_raises_before_allocating(monkeypatch, tmp_path, table_100k):
+    path = tmp_path / "t.mobs"
+    save_table(table_100k, path)
+    monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 4096)
+    assert load_table(path, 4095).limit == 4095  # only the prefix is charged
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="over the memory budget of 4096 bytes$"):
+            load_table(path, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

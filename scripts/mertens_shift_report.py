@@ -5,8 +5,9 @@ oscillation |M(n)|/sqrt(n) and the fitted running-max exponent.
 
 The two series are printed side by side without any verdict on whether
 the shift stays at the oscillation order; that comparison is the point
-of the report. The mu table is cached like the CLI's, under
-$MOBIUSLAB_CACHE_DIR or ./cache.
+of the report. The mu table is read and cached like the CLI's walk: the
+prefix that stochastic.prefix_limit names, under $MOBIUSLAB_CACHE_DIR or
+./cache.
 
     python3 scripts/mertens_shift_report.py --max 10000000
 """
@@ -14,14 +15,17 @@ $MOBIUSLAB_CACHE_DIR or ./cache.
 import argparse
 
 from mobiuslab import cli, mertens_walk_stats
+from mobiuslab.stochastic import MIN_WALK_LIMIT, prefix_limit
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max", type=int, default=10**7)
     args = parser.parse_args()
+    if args.max < MIN_WALK_LIMIT:  # before a table could be sieved
+        parser.error(f"--max must be >= {MIN_WALK_LIMIT}, the second checkpoint, to fit alpha")
 
-    table = cli.ensure_table(args.max, cli.resolve_cache_dir(None))
+    table = cli.ensure_table(prefix_limit(args.max), cli.resolve_cache_dir(None))
     stats = mertens_walk_stats(args.max, table)
 
     header = f"{'n':>12} {'M(n)':>8} {'|M|/sqrt(n)':>12} {'shift n*m^2':>14} {'run max':>8}"

@@ -56,13 +56,17 @@ from mobiuslab.sieve import (
 )
 from mobiuslab.stochastic import (
     MIN_TEST_LENGTH,
+    MIN_WALK_LIMIT,
     _charge_sign_sequence,
     checkpoint_grid,
     chi_square_balance,
+    class_counts,
+    class_counts_bytes,
     coin_sign_sequence,
     coin_walk_simulate,
     lag_autocorrelation,
     mertens_walk_stats,
+    prefix_limit,
     runs_test,
     sign_sequence_squarefree,
     span_counts,
@@ -118,6 +122,13 @@ def ensure_table(limit: int, cache_dir: Path) -> MoebiusTable:
     table = sieve_moebius(limit)
     _save_cached(table, cache_dir)
     return table
+
+
+def _class_table(limit: int, extra: int, what: str, cache_dir: Path) -> MoebiusTable:
+    """The table prefix that class_counts reads for checkpoints up to limit,
+    charged with its Mertens prefix and `extra` bytes before a sieve could run."""
+    _charge(class_counts_bytes(limit) + extra, what)
+    return ensure_table(prefix_limit(limit), cache_dir)
 
 
 def _save_cached(table: MoebiusTable, cache_dir: Path) -> Path:
@@ -237,14 +248,17 @@ def cmd_density(args: argparse.Namespace) -> int:
     # table before a sieve could run.
     rows = -(-args.limit // args.window) if args.window else 8 * len(str(args.limit))
     per_row = _DENSITY_JSON_BYTES_PER_ROW if args.fmt == "json" else _DENSITY_CSV_BYTES_PER_ROW
-    _charge(args.limit + 1 + per_row * rows, f"{rows} {args.fmt} density rows over [1, {args.limit}]")
-    table = ensure_table(args.limit, args.cache_dir)
+    what = f"{rows} {args.fmt} density rows over [1, {args.limit}]"
     if args.window:
+        _charge(args.limit + 1 + per_row * rows, what)
+        table = ensure_table(args.limit, args.cache_dir)
         edges = list(range(1, args.limit + 1, args.window)) + [args.limit + 1]
         counts = span_counts(edges, args.parity, table)
     else:
-        edges = [1] + [n + 1 for n in checkpoint_grid(10, args.limit - 1) + [args.limit]]
-        counts = np.cumsum(span_counts(edges, args.parity, table), axis=0)
+        table = _class_table(args.limit, per_row * rows, what, args.cache_dir)
+        ends = checkpoint_grid(10, args.limit - 1) + [args.limit]
+        edges = [1] + [n + 1 for n in ends]
+        counts = class_counts(ends, args.parity, table)
     limit_value = density_limits()[args.parity].value
     rows = []
     for b, (minus, plus, total) in zip(edges[1:], counts.tolist()):
@@ -261,9 +275,9 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
-    if args.limit < 1000:
-        raise ValueError("--max must be >= 1000 to give enough checkpoints")
-    table = ensure_table(args.limit, args.cache_dir)
+    if args.limit < MIN_WALK_LIMIT:
+        raise ValueError(f"--max must be >= {MIN_WALK_LIMIT}, the second checkpoint, to fit alpha")
+    table = _class_table(args.limit, 0, f"a Mertens walk to {args.limit}", args.cache_dir)
     stats = mertens_walk_stats(args.limit, table)
     rows = [
         dict(zip(WALK_CSV_HEADER, [int(n), int(m), float(n) ** 0.5, float(ratio), float(shift)]))

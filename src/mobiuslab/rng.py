@@ -22,11 +22,20 @@ _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array."""
-    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-    return z ^ (z >> _U64(31))
+def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array, in place: returns z, mixed.
+
+    Each shift goes to one scratch array of z's shape, new unless given, so
+    beside z it allocates nothing else."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    for shift, factor in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, _U64(shift), out=scratch)
+        z ^= scratch
+        z *= _U64(factor)
+    np.right_shift(z, _U64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 def _keys(seed: int, streams) -> np.ndarray:
@@ -41,14 +50,26 @@ def _counters(count: int) -> np.ndarray:
 
 def words(seed: int, stream: int, count: int) -> np.ndarray:
     """First `count` words of a stream."""
-    return mix64(_keys(seed, [stream]) + _counters(count))
+    block = _counters(count)
+    block += _keys(seed, [stream])
+    return mix64(block)
 
 
-def word_block(seed: int, streams, count: int) -> np.ndarray:
-    """Matrix of words, one row per stream index; indices lie in [0, 2^64)."""
-    return mix64(_keys(seed, streams)[:, None] + _counters(count)[None, :])
+def word_block(seed: int, streams, count: int, *, out=None, scratch=None) -> np.ndarray:
+    """Matrix of words, one row per stream index; indices lie in [0, 2^64).
+
+    Written into `out` and mixed through `scratch` when they are given, each
+    a uint64 array of shape (len(streams), count), so that a caller drawing
+    block after block reuses the same two buffers."""
+    keys = _keys(seed, streams)
+    if out is None:
+        out = np.empty((keys.size, count), dtype=np.uint64)
+    np.add(keys[:, None], _counters(count)[None, :], out=out)
+    return mix64(out, scratch)
 
 
 def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     """float64 samples in [0, 1), 53 bits each."""
-    return (words(seed, stream, count) >> _U64(11)) * (1.0 / (1 << 53))
+    top = words(seed, stream, count)
+    top >>= _U64(11)
+    return top * (1.0 / (1 << 53))

@@ -264,7 +264,10 @@ def mertens_series(table: MoebiusTable) -> MertensSeries:
     """
     _charge(table.values.nbytes + 4 * (table.limit + 1), f"Mertens prefix of limit {table.limit}")
     prefix = np.zeros(table.limit + 1, dtype=np.int32)
-    np.cumsum(table.values[1:], dtype=np.int32, out=prefix[1:])
+    # Widened first, then summed in place: a cumsum from int8 into int32 casts
+    # its whole input to a second int32 array, 4 more bytes an entry.
+    prefix[1:] = table.values[1:]
+    np.cumsum(prefix[1:], out=prefix[1:])
     prefix.setflags(write=False)
     return MertensSeries(limit=table.limit, prefix=prefix)
 

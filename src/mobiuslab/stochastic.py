@@ -18,12 +18,14 @@ import numpy as np
 
 from mobiuslab import rng
 from mobiuslab.probability import density_limits, shift_numerators
-from mobiuslab.sieve import MoebiusTable, _charge
+from mobiuslab.sieve import MoebiusTable, _charge, mertens_series
 
 MIN_TEST_LENGTH = 100
 # Words per block of coin-walk trials are capped at this many bytes, and at 4096 trials.
 _COIN_BLOCK_BYTES = 2 << 20
-# rng.uniforms holds three uint64 arrays as long as a synthetic sequence at its peak.
+# A synthetic sequence holds at most three 8-byte arrays as long as itself at its
+# peak: rng.uniforms' words and their scratch, then the floats and np.where's
+# int64 signs (17 bytes an entry traced at 1e6).
 _COIN_SEQUENCE_BYTES_PER_ENTRY = 24
 # coin_walk_simulate holds the int64 terminals, np.std's float64 deviations and
 # numpy's 64 KiB reduction buffer: 16.07 bytes per trial traced at 1e6 trials.
@@ -31,6 +33,18 @@ _WALK_SUMMARY_BYTES_PER_TRIAL = 17
 # Per entry of a parity view: the nonzero mask and the int8 copy, then the copy
 # and the randomness tests' two 1-byte temporaries (an abs and a comparison).
 _SIGN_SEQUENCE_BYTES_PER_ENTRY = 3
+# Up to x = PREFIX_FLOOR, class_counts reads the whole table [1, x]; above it, a
+# prefix of PREFIX_SCALE icbrt(x)^2 entries (see prefix_limit). The scan costs
+# ~0.4 ns an entry and the recursion's np.cumsum into int32 ~4.5, so the scan
+# wins up to x ~ 5e6-1e7 on a 2-core x86 VM.
+PREFIX_FLOOR = 1 << 24
+PREFIX_SCALE = 16
+# class_counts' int64 arrays over the d <= sqrt(x) and over the j of one
+# quotient, above the table and the Mertens prefix: at most this many bytes per
+# isqrt(x).
+_RECURSION_BYTES_PER_ROOT = 64
+# The grid's second point from 1000: the fit of alpha needs two checkpoints.
+MIN_WALK_LIMIT = 1333
 
 
 @dataclass(frozen=True)
@@ -160,6 +174,113 @@ def span_counts(edges, parity: str, table: MoebiusTable) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
+def _icbrt(x: int) -> int:
+    """floor(x^(1/3)), exact in integers, so cache names do not depend on libm."""
+    c = round(x ** (1 / 3))
+    while c**3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    return c
+
+
+def prefix_limit(x: int) -> int:
+    """The table prefix class_counts reads for checkpoints up to x: all of
+    [1, x] up to PREFIX_FLOOR, else max(isqrt(x) + 1, PREFIX_SCALE icbrt(x)^2)
+    entries, at most x. Both sizes are read at each call."""
+    if x <= PREFIX_FLOOR:
+        return x
+    return min(x, max(math.isqrt(x) + 1, PREFIX_SCALE * _icbrt(x) ** 2))
+
+
+def class_counts_bytes(x: int) -> int:
+    """Peak bytes of class_counts up to x on a table of prefix_limit(x): the
+    table, and with a prefix shorter than x the int32 Mertens prefix and the
+    recursion's arrays."""
+    u = prefix_limit(x)
+    if u >= x:
+        return u + 1
+    return 5 * (u + 1) + _RECURSION_BYTES_PER_ROOT * math.isqrt(x)
+
+
+def _mertens_quotients(x: int, prefix: np.ndarray) -> np.ndarray:
+    """big[k] = M(x // k) for the k whose x // k lies above u, k <= x // (u + 1),
+    from the int32 prefix M(0..u), u > isqrt(x); big[0] is unused.
+
+    Each v = x // k has sum_{j=1}^{v} M(v // j) = 1. With q = isqrt(v), the
+    j above v // (q + 1) are grouped by t = v // j <= q, which holds for
+    v // t - v // (t + 1) of them:
+    M(v) = 1 - sum_{j=2}^{v // (q+1)} M(v // j) - sum_{t=1}^{q} M(t) (v // t - v // (t + 1)).
+    v // j = x // (kj) lies above u exactly when kj <= x // (u + 1), so k runs
+    down and those terms are read from big (Deleglise & Rivat, Exp. Math. 1996,
+    in its elementary form).
+    """
+    top = x // prefix.size
+    big = np.zeros(top + 1, dtype=np.int64)
+    for k in range(top, 0, -1):
+        v = x // k
+        q = math.isqrt(v)
+        last = v // (q + 1)
+        near = min(top // k, last)  # the j in [2, near] read from big
+        quotients = v // np.arange(1, q + 2, dtype=np.int64)
+        far = v // np.arange(near + 1, last + 1, dtype=np.int64)
+        big[k] = (
+            1
+            - int(big[2 * k : near * k + 1 : k].sum())
+            - int(prefix[far].sum(dtype=np.int64))
+            - int(np.dot(prefix[1 : q + 1].astype(np.int64), quotients[:-1] - quotients[1:]))
+        )
+    return big
+
+
+def _class_row(x: int, parity: str, mu: np.ndarray, prefix: np.ndarray) -> tuple[int, int, int]:
+    """(minus, plus, total) over the parity class in [1, x], for x above the
+    prefix of M and mu, whose length exceeds isqrt(x) + 1."""
+    total = len(_members(1, x + 1, parity))
+    big = _mertens_quotients(x, prefix)
+    # mu(2m) = -mu(m) for odd m and 0 for even m, so M_odd(x) = M(x) + M_odd(x // 2)
+    m_odd = sum(
+        int(big[1 << i] if 1 << i < big.size else prefix[x >> i]) for i in range(x.bit_length())
+    )
+    d = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
+    floors = x // (d * d)
+    signs = mu[1 : d.size + 1]
+    q_all = int(np.dot(signs, floors))
+    # the odd n <= x with d^2 | n, d odd, are d^2 m for the ceil(floor(x / d^2) / 2) odd m
+    q_odd = int(np.dot(signs[::2], (floors[::2] + 1) // 2))
+    m_all = int(big[1])
+    q, m = {
+        "all": (q_all, m_all),
+        "odd": (q_odd, m_odd),
+        "even": (q_all - q_odd, m_all - m_odd),
+    }[parity]
+    return (q - m) // 2, (q + m) // 2, total
+
+
+def class_counts(xs, parity: str, table: MoebiusTable) -> np.ndarray:
+    """Row i is (minus, plus, total) over the parity class in [1, xs[i]], for
+    ascending xs: the cumulative counts of mu = -1, mu = +1 and members.
+
+    Checkpoints up to table.limit are running sums of span_counts. Above it
+    they need a table longer than isqrt(x) + 1, and come from M and Q: M by
+    the recursion of _mertens_quotients over the int32 prefix of
+    mertens_series, Q(x) = sum_{d <= sqrt x} mu(d) floor(x / d^2), and their
+    odd parts; the even class is the rest, minus = (Q - M) / 2 and
+    plus = (Q + M) / 2.
+    """
+    below = [x for x in xs if x <= table.limit]
+    above = xs[len(below) :]
+    rows = np.cumsum(span_counts([1] + [x + 1 for x in below], parity, table), axis=0)
+    if not above:
+        return rows
+    if math.isqrt(above[-1]) >= table.limit:
+        need = math.isqrt(above[-1]) + 1
+        raise ValueError(f"table covers {table.limit}, need {need} for {above[-1]}")
+    prefix = mertens_series(table).prefix
+    high = [_class_row(x, parity, table.values, prefix) for x in above]
+    return np.vstack([rows, np.array(high, dtype=np.int64)])
+
+
 def empirical_frequencies(
     a: int, b: int, parity: str, table: MoebiusTable
 ) -> FrequencyReport:
@@ -226,21 +347,25 @@ def coin_walk_terminals(steps: int, trials: int, seed: int) -> np.ndarray:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     nwords = (steps + 63) // 64
-    chunk = max(1, min(4096, _COIN_BLOCK_BYTES // (8 * nwords)))
-    # The terminals, plus mix64's peak: two blocks of words and the counters.
+    rows = max(1, min(4096, _COIN_BLOCK_BYTES // (8 * nwords), trials))
+    # The terminals; per row of a block, its words and mix64's scratch (both
+    # reused), their 1-byte popcounts, and six int64s for its stream, key and
+    # sums; the counters; numpy's 64 KiB reduction buffer.
     _charge(
-        8 * trials + (2 * min(chunk, trials) + 1) * 8 * nwords,
+        8 * trials + (17 * nwords + 48) * rows + 8 * nwords + (1 << 16),
         f"a run of {trials} walks of {steps} steps",
     )
     rem = steps % 64
     mask = np.uint64((1 << rem) - 1) if rem else np.uint64(0xFFFFFFFFFFFFFFFF)
     out = np.empty(trials, dtype=np.int64)
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        block = rng.word_block(seed, np.arange(lo, hi, dtype=np.uint64), nwords)
+    words = np.empty((rows, nwords), dtype=np.uint64)
+    scratch = np.empty_like(words)
+    for lo in range(0, trials, rows):
+        hi = min(lo + rows, trials)
+        streams = np.arange(lo, hi, dtype=np.uint64)
+        block = rng.word_block(seed, streams, nwords, out=words[: hi - lo], scratch=scratch[: hi - lo])
         block[:, -1] &= mask
         out[lo:hi] = 2 * np.bitwise_count(block).sum(axis=1, dtype=np.int64) - steps
-        del block  # else it sits beside the next block's words
     return out
 
 
@@ -310,17 +435,19 @@ def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
     """Checkpointed |M| scaling plus the shift series, each term the correctly
     rounded float of the exact n * m_K^2.
 
-    M is read at the checkpoints as a running total of per-span counts of the
-    table, so no prefix array of the whole range is built.
+    M is plus - minus of class_counts, on a table of at least
+    prefix_limit(limit) entries: up to PREFIX_FLOOR that is [1, limit] and no
+    prefix array is built; above it, an int32 prefix of that table.
     """
-    if limit < 1000:
-        raise ValueError("limit must be >= 1000 to give enough checkpoints")
-    if mu_prefix.limit < limit:
-        raise ValueError(f"table covers {mu_prefix.limit}, need {limit}")
+    if limit < MIN_WALK_LIMIT:
+        raise ValueError(f"limit must be >= {MIN_WALK_LIMIT}, the second checkpoint, to fit alpha")
+    need = prefix_limit(limit)
+    if mu_prefix.limit < need:
+        raise ValueError(f"table covers {mu_prefix.limit}, need {need}")
     points = checkpoint_grid(1000, limit)
     checkpoints = np.array(points, dtype=np.int64)
-    counts = span_counts([1] + [n + 1 for n in points], "all", mu_prefix)
-    m_values = np.cumsum(counts[:, 1] - counts[:, 0])
+    counts = class_counts(points, "all", mu_prefix)
+    m_values = counts[:, 1] - counts[:, 0]
     ratios = np.abs(m_values) / np.sqrt(checkpoints.astype(np.float64))
     denominator, numerators = shift_numerators(points, mu_prefix)
     shifts = np.array([numerators[n] / denominator for n in points], dtype=np.float64)

@@ -1,16 +1,23 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
 from mobiuslab import cli
 from mobiuslab import sieve as sieve_module
+from mobiuslab import stochastic as stochastic_module
 from mobiuslab.cli import CACHE_ENV_VAR, build_parser, main
 from mobiuslab.probability import delta_prob, prob_triple_even, prob_triple_general, prob_triple_odd
 from mobiuslab.sieve import MoebiusTable, moebius_at, save_table, sieve_moebius
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -297,6 +304,61 @@ class TestWalkCommand:
         code, _, err = run(capsys, "walk", "--max", "999", "--cache-dir", str(tmp_path))
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("limit", ["1000", "1332"])
+    def test_one_checkpoint_is_refused(self, capsys, tmp_path, limit):
+        # alpha is a line through the checkpoints; 1333 is the grid's second
+        code, out, err = run(capsys, "walk", "--max", limit, "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "--max must be >= 1333, the second checkpoint" in err and "sieving" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_two_checkpoints_fit_without_a_warning(self, capsys, tmp_path):
+        # one checkpoint made np.polyfit print a RankWarning on stderr
+        assert run(capsys, "sieve", "--limit", "1333", "--cache-dir", str(tmp_path))[0] == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "mobiuslab", "walk", "--max", "1333",
+             "--cache-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [line.split(",")[0] for line in proc.stdout.splitlines()[1:3]] == ["1000", "1333"]
+
+    def test_cold_run_above_the_floor_caches_only_the_prefix(
+        self, capsys, tmp_path, monkeypatch, table_10m
+    ):
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        warm.mkdir()
+        save_table(table_10m, warm / "moebius_10000000.mobs")
+        commands = [["walk", "--max", "10000000"], ["walk", "--max", "9999991", "--format", "json"]]
+        for parity in ("all", "odd", "even"):
+            commands.append(["density", "--max", "9999991", "--parity", parity])
+        expected = [run(capsys, *argv, "--cache-dir", str(warm)) for argv in commands]
+        monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10**5)
+        code, out, err = run(capsys, *commands[0], "--cache-dir", str(cold))
+        assert (code, out) == expected[0][:2]
+        assert err == "sieving mu up to 739600 (no cached table found)\n"
+        assert [p.name for p in cold.iterdir()] == ["moebius_739600.mobs"]
+        for argv, want in zip(commands, expected):
+            for cache in (cold, warm):
+                assert run(capsys, *argv, "--cache-dir", str(cache)) == want, (argv, cache)
+        assert [p.name for p in cold.iterdir()] == ["moebius_739600.mobs"]
+
+    @pytest.mark.parametrize("command", ["walk", "density"])
+    def test_over_budget_prefix_exits_before_it_sieves(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # the 739601-byte table would fit; with its int32 Mertens prefix it does not
+        monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10**5)
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 2_000_000)
+        code, out, err = run(capsys, command, "--max", "10000000", "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err and "sieving" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run(

@@ -12,7 +12,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_script(name, *argv, cwd):
+def run_script(name, *argv, cwd, code=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop(CACHE_ENV_VAR, None)
@@ -20,8 +20,8 @@ def run_script(name, *argv, cwd):
         [sys.executable, str(SCRIPTS / name), *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == code, proc.stderr
+    return proc.stdout if code == 0 else proc.stderr
 
 
 def test_density_scan_writes_the_cli_output(tmp_path, capsys):
@@ -49,6 +49,12 @@ def test_mertens_shift_report(tmp_path):
     assert [row[0] for row in rows] == ["1000", "1333", "1778", "2371", "3162", "4216"]
     assert rows[0][1] == "2"  # M(1000)
     assert "over 6 checkpoints" in out
+
+
+def test_mertens_shift_report_needs_two_checkpoints(tmp_path):
+    err = run_script("mertens_shift_report.py", "--max", "1332", cwd=tmp_path, code=2)
+    assert "--max must be >= 1333, the second checkpoint" in err
+    assert list(tmp_path.iterdir()) == []  # exits before it sieves
 
 
 def test_coin_calibration(tmp_path):

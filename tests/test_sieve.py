@@ -22,6 +22,7 @@ from mobiuslab import (
 )
 from mobiuslab.identity import identity_blocks
 from mobiuslab.stochastic import (
+    class_counts,
     coin_sign_sequence,
     coin_walk_simulate,
     coin_walk_terminals,
@@ -303,6 +304,21 @@ class TestMertens:
         with pytest.raises(ValueError):
             series.m(table_10k.limit + 1)
 
+    def test_peak_within_its_charge(self, monkeypatch, table_10k):
+        # a cumsum from int8 into int32 cast its input to a second int32 array:
+        # 8 bytes an entry beside the table, where 4 were charged
+        charged = []
+        monkeypatch.setattr(sieve_module, "_charge", lambda needed, what: charged.append(needed))
+        table = sieve_moebius(10**6)
+        tracemalloc.start()
+        try:
+            series = mertens_series(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[-1] - table.values.nbytes + 4096  # and a few small objects
+        assert series.m(10**6) == 212
+
     def test_memory_budget_enforced(self):
         # a broadcast view reports 0.5 GiB without allocating it; the prefix adds 2 GiB
         huge = np.broadcast_to(np.int8(0), (2**29 + 1,))
@@ -484,6 +500,7 @@ class TestCacheFormat:
 CHARGED_SITES = {
     "sieve_moebius": lambda table: sieve_moebius(10**6),
     "mertens_series": lambda table: mertens_series(table),
+    "class_counts": lambda table: class_counts([10**6], "all", table),
     "identity_blocks": lambda table: identity_blocks(2, 10**6, table.values),
     "coin_sign_sequence": lambda table: coin_sign_sequence(10**6, seed=0),
     "coin_walk_terminals": lambda table: coin_walk_terminals(64, 10**6, seed=0),

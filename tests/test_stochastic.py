@@ -8,14 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuslab import ResourceLimitError, harmonic_series, mertens_series, rng, sieve_moebius
+from mobiuslab import (
+    MoebiusTable,
+    ResourceLimitError,
+    harmonic_series,
+    mertens_series,
+    rng,
+    sieve_moebius,
+)
 from mobiuslab import stochastic as stochastic_module
 from mobiuslab.probability import shift_numerators
 from mobiuslab.stochastic import (
     _COIN_BLOCK_BYTES,
     MIN_TEST_LENGTH,
+    MIN_WALK_LIMIT,
     checkpoint_grid,
     chi_square_balance,
+    class_counts,
+    class_counts_bytes,
     coin_sign_sequence,
     coin_walk_simulate,
     coin_walk_terminals,
@@ -23,6 +33,7 @@ from mobiuslab.stochastic import (
     lag_autocorrelation,
     mertens_walk_stats,
     normal_cdf,
+    prefix_limit,
     runs_test,
     shift_term,
     sign_sequence_squarefree,
@@ -325,6 +336,19 @@ class TestCoinWalks:
             words[-1] &= np.uint64((1 << (steps % 64)) - 1)
             assert terminals[k] == 2 * int(np.bitwise_count(words).sum()) - steps
 
+    @pytest.mark.parametrize("steps, trials", [(10**4, 10**4), (19893, 5102), (64 * 2**16 + 5, 7)])
+    def test_walks_peak_within_their_charge(self, monkeypatch, steps, trials):
+        # the block of words and mix64's scratch are reused from block to block
+        charged = []
+        monkeypatch.setattr(stochastic_module, "_charge", lambda needed, what: charged.append(needed))
+        tracemalloc.start()
+        try:
+            coin_walk_terminals(steps, trials, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[-1]
+
     def test_summary_peak_within_its_charge(self, monkeypatch):
         # the terminals, their abs and np.std's deviations peaked at 24 bytes a
         # trial, where 8 were charged. The stand-in allocates the terminals as
@@ -418,6 +442,26 @@ class TestMertensWalk:
         with pytest.raises(ValueError):
             mertens_walk_stats(10**6, small)
 
+    def test_alpha_is_fitted_through_two_checkpoints(self, table_10k):
+        assert checkpoint_grid(1000, MIN_WALK_LIMIT) == [1000, MIN_WALK_LIMIT]
+        for limit in (1000, MIN_WALK_LIMIT - 1):
+            with pytest.raises(ValueError, match=f">= {MIN_WALK_LIMIT}, the second checkpoint"):
+                mertens_walk_stats(limit, table_10k)
+        assert mertens_walk_stats(MIN_WALK_LIMIT, table_10k).checkpoints.size == 2
+
+    def test_walk_over_a_prefix_equals_the_full_table(self, monkeypatch, table_10m, mertens_10m):
+        whole = mertens_walk_stats(10**7, table_10m)
+        monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10**5)
+        u = prefix_limit(10**7)
+        assert u == 739_600
+        with pytest.raises(ValueError, match=f"need {u}"):
+            mertens_walk_stats(10**7, head(table_10m, u - 1))
+        stats = mertens_walk_stats(10**7, head(table_10m, u))
+        assert np.array_equal(stats.m_values, mertens_10m.prefix[stats.checkpoints])
+        for field in ("checkpoints", "m_values", "ratios", "shift_terms", "running_max"):
+            assert np.array_equal(getattr(stats, field), getattr(whole, field)), field
+        assert (stats.alpha, stats.fit_residual) == (whole.alpha, whole.fit_residual)
+
     def test_shift_terms_are_the_rounded_exact_series(self):
         table = sieve_moebius(10**6)
         stats = mertens_walk_stats(10**6, table)
@@ -437,6 +481,66 @@ class TestMertensWalk:
         # m_10 = 19/210
         for n in range(100, 121):
             assert shift_term(n, table_10k) == Fraction(n * 361, 44100)
+
+
+def head(table: MoebiusTable, u: int) -> MoebiusTable:
+    """The table's prefix mu(1..u), as a cached table's prefix is read."""
+    return MoebiusTable(limit=u, values=table.values[: u + 1])
+
+
+class TestClassCounts:
+    FLOOR = 10**5
+    # above the floor, on both sides of a cube (150^3) and of a power of ten
+    XS = [FLOOR + 1, 150**3 - 1, 150**3, 999_983, 10**6, 10**7]
+
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_recursion_equals_span_counts(self, monkeypatch, table_10m, parity):
+        monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", self.FLOOR)
+        for x in self.XS:
+            u = prefix_limit(x)
+            assert math.isqrt(x) < u < x
+            got = class_counts([x], parity, head(table_10m, u))
+            assert got.tolist() == span_counts([1, x + 1], parity, table_10m).tolist(), x
+
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_checkpoints_on_both_sides_of_the_prefix(self, table_10m, parity):
+        # the shortest prefix the recursion accepts, isqrt(x) + 1, up to the whole table
+        for top, u in ((10**6, 1001), (10**7, 10**4), (10**7, 10**5), (10**7, 10**7)):
+            xs = checkpoint_grid(10, top)
+            expected = np.cumsum(span_counts([1] + [x + 1 for x in xs], parity, table_10m), axis=0)
+            assert np.array_equal(class_counts(xs, parity, head(table_10m, u)), expected), u
+
+    def test_prefix_limit(self, monkeypatch):
+        assert prefix_limit(2**24) == 2**24
+        assert prefix_limit(10**8) == 3_444_736
+        assert prefix_limit(10**10) == 74_235_456
+        # the cube root is exact in integers, at a cube and one below it
+        c = 10**5 + 3
+        assert prefix_limit(c**3) == 16 * c**2
+        assert prefix_limit(c**3 - 1) == 16 * (c - 1) ** 2
+        monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10)
+        assert prefix_limit(11) == 11  # never above x, where 16 * 2^2 is
+        monkeypatch.setattr(stochastic_module, "PREFIX_SCALE", 1)
+        assert prefix_limit(10**6) == 10**4
+        assert prefix_limit(26) == 6  # isqrt(26) + 1, above 2^2
+
+    def test_short_table_rejected(self, table_10k):
+        with pytest.raises(ValueError, match="need 10001"):
+            class_counts([10**8], "all", table_10k)
+        with pytest.raises(ValueError, match="parity"):
+            class_counts([10**6], "prime", table_10k)
+
+    @pytest.mark.parametrize("x", [2 * 10**5, 10**7])
+    def test_peak_within_its_charge(self, monkeypatch, table_10m, x):
+        monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", self.FLOOR)
+        table = head(table_10m, prefix_limit(x))
+        tracemalloc.start()
+        try:
+            class_counts(checkpoint_grid(10, x), "odd", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.values.nbytes + peak <= class_counts_bytes(x)
 
 
 class TestRandomnessTests:

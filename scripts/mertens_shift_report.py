@@ -5,9 +5,10 @@ oscillation |M(n)|/sqrt(n) and the fitted running-max exponent.
 
 The two series are printed side by side without any verdict on whether
 the shift stays at the oscillation order; that comparison is the point
-of the report. The mu table is read and cached like the CLI's walk: the
-prefix that stochastic.prefix_limit names, under $MOBIUSLAB_CACHE_DIR or
-./cache.
+of the report. The mu table is charged, read and cached like the CLI's
+walk: the prefix that stochastic.prefix_limit names, under
+$MOBIUSLAB_CACHE_DIR or ./cache. A --max over the memory budget exits 2
+before anything is sieved.
 
     python3 scripts/mertens_shift_report.py --max 10000000
 """
@@ -15,7 +16,8 @@ prefix that stochastic.prefix_limit names, under $MOBIUSLAB_CACHE_DIR or
 import argparse
 
 from mobiuslab import cli, mertens_walk_stats
-from mobiuslab.stochastic import MIN_WALK_LIMIT, prefix_limit
+from mobiuslab.sieve import ResourceLimitError
+from mobiuslab.stochastic import MIN_WALK_LIMIT
 
 
 def main() -> None:
@@ -25,7 +27,11 @@ def main() -> None:
     if args.max < MIN_WALK_LIMIT:  # before a table could be sieved
         parser.error(f"--max must be >= {MIN_WALK_LIMIT}, the second checkpoint, to fit alpha")
 
-    table = cli.ensure_table(prefix_limit(args.max), cli.resolve_cache_dir(None))
+    what = f"a Mertens walk to {args.max}"
+    try:
+        table = cli._class_table(args.max, 0, what, cli.resolve_cache_dir(None))
+    except ResourceLimitError as exc:
+        parser.error(str(exc))
     stats = mertens_walk_stats(args.max, table)
 
     header = f"{'n':>12} {'M(n)':>8} {'|M|/sqrt(n)':>12} {'shift n*m^2':>14} {'run max':>8}"

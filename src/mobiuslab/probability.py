@@ -20,8 +20,14 @@ The terms are summed in blocks of at most 64 consecutive i, each block over
 its own small lcm and then scaled once to P, so the big integers are
 touched once per block and not once per i. Fractions are formed only at
 the requested cutoffs; shift_numerators gives n * m_K^2 as an integer
-ratio, so callers that need only its float divide the integers directly,
-which rounds correctly with no gcd.
+ratio, whose int/int division rounds correctly with no gcd.
+
+The walk needs only that float, so shift_floats sums m_K in fixed point
+with SHIFT_BITS bits after the point, brackets it by the error of the
+floors, and keeps the float where both ends of the bracket round to it
+(Ziv's test); any n that fails is sent to shift_numerators. The exact
+numerators stay the fallback and the oracle, and shift_term, the series
+and the triples read only them.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Literal
 
+import numpy as np
+
 from mobiuslab.sieve import MoebiusTable, _base_primes
 
 ParityClass = Literal["general", "odd", "even"]
@@ -39,6 +47,9 @@ ParityClass = Literal["general", "odd", "even"]
 # Consecutive i summed over one small lcm before scaling to P; blocks of 32,
 # 64, 128 and 256 all cost the same at K = 10^4.
 _BLOCK = 64
+# E, the bits after the point of shift_floats' fixed-point sum of m_K; read at
+# each call. At 256 no checkpoint of the walk to 1e10 needs the exact fallback.
+SHIFT_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,18 @@ class DensityLimit:
     value: float
 
 
+def _checked_cutoffs(cutoffs: Iterable[int], mu_prefix: MoebiusTable) -> list[int]:
+    """The distinct cutoffs, ascending, each >= 1 and covered by the table."""
+    wanted = sorted(set(cutoffs))
+    if wanted and wanted[0] < 1:
+        raise ValueError("cutoffs must be >= 1")
+    if wanted and mu_prefix.limit < wanted[-1]:
+        raise ValueError(
+            f"prefix table covers {mu_prefix.limit}, cutoff {wanted[-1]} requested"
+        )
+    return wanted
+
+
 def _numerators(
     cutoffs: Iterable[int], mu_prefix: MoebiusTable, *, full: bool
 ) -> tuple[int, dict[int, tuple[int, int, int, int]]]:
@@ -89,17 +112,10 @@ def _numerators(
     is summed over lb, the lcm of its squarefree members, and added once
     scaled by P // lb.
     """
-    wanted = sorted(set(cutoffs))
+    wanted = _checked_cutoffs(cutoffs, mu_prefix)
     if not wanted:
         return 1, {}
-    if wanted[0] < 1:
-        raise ValueError("cutoffs must be >= 1")
-    k_max = wanted[-1]
-    if mu_prefix.limit < k_max:
-        raise ValueError(
-            f"prefix table covers {mu_prefix.limit}, cutoff {k_max} requested"
-        )
-    big = math.prod(_base_primes(k_max))
+    big = math.prod(_base_primes(wanted[-1]))
     values = mu_prefix.values
     out: dict[int, tuple[int, int, int, int]] = {}
     a = a_odd = b = b_odd = 0
@@ -131,6 +147,47 @@ def shift_numerators(
     ns = list(ns)
     big, numerators = _numerators({isqrt(n) for n in ns}, mu_prefix, full=False)
     return big * big, {n: n * numerators[isqrt(n)][0] ** 2 for n in ns}
+
+
+def shift_floats(ns: Iterable[int], mu_prefix: MoebiusTable) -> dict[int, float]:
+    """{n: the correctly rounded float of n * m_K^2}, K = floor(sqrt(n)), n >= 1.
+
+    With E = SHIFT_BITS, A = sum over i <= K of mu(i) floor(2^E / i) is summed
+    over the nonzero mu(i) in one pass to the largest cutoff. Each floor
+    loses less than 1, so m_K 2^E lies inside (A - K, A + K). Where that
+    bracket excludes 0, n t^2 is monotone on it, and where its two ends give
+    the same double, n (A -/+ K)^2 / 2^(2E) by int/int division, so does
+    n m_K^2 (Ziv's test). Every other n is recomputed exactly by
+    shift_numerators.
+    """
+    ns = list(ns)
+    cutoffs = _checked_cutoffs({isqrt(n) for n in ns}, mu_prefix)
+    one, scale = 1 << SHIFT_BITS, 1 << 2 * SHIFT_BITS
+    values = mu_prefix.values
+    sums: dict[int, int] = {}
+    a, lo = 0, 1
+    for k in cutoffs:
+        segment = values[lo : k + 1]
+        plus = (np.flatnonzero(segment == 1) + lo).tolist()
+        minus = (np.flatnonzero(segment == -1) + lo).tolist()
+        a += sum([one // i for i in plus]) - sum([one // i for i in minus])
+        sums[k] = a
+        lo = k + 1
+    out: dict[int, float] = {}
+    misses = []
+    for n in ns:
+        k = isqrt(n)
+        low, high = sums[k] - k, sums[k] + k
+        if low > 0 or high < 0:
+            value = n * low * low / scale
+            if value == n * high * high / scale:
+                out[n] = value
+                continue
+        misses.append(n)
+    if misses:
+        denominator, numerators = shift_numerators(misses, mu_prefix)
+        out.update((n, numerators[n] / denominator) for n in misses)
+    return out
 
 
 def harmonic_series_many(

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from mobiuslab import rng
-from mobiuslab.probability import density_limits, shift_numerators
+from mobiuslab.probability import density_limits, shift_floats, shift_numerators
 from mobiuslab.sieve import MoebiusTable, _charge, mertens_series
 
 MIN_TEST_LENGTH = 100
@@ -175,12 +175,17 @@ def span_counts(edges, parity: str, table: MoebiusTable) -> np.ndarray:
 
 
 def _icbrt(x: int) -> int:
-    """floor(x^(1/3)), exact in integers, so cache names do not depend on libm."""
-    c = round(x ** (1 / 3))
-    while c**3 > x:
-        c -= 1
-    while (c + 1) ** 3 <= x:
-        c += 1
+    """floor(x^(1/3)) for x >= 0, in integers only, so cache names do not
+    depend on libm and no x is too large for a float.
+
+    Newton's step c -> (2c + x // c^2) // 3 from 2^ceil(bits / 3), which is
+    above the root, stays at or above floor(x^(1/3)) and falls while c^3 > x,
+    so the first step that does not fall stops at the root."""
+    if x == 0:
+        return 0
+    c = 1 << -(-x.bit_length() // 3)
+    while (d := (2 * c + x // (c * c)) // 3) < c:
+        c = d
     return c
 
 
@@ -433,7 +438,7 @@ def checkpoint_grid(lo: int, hi: int) -> list[int]:
 
 def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
     """Checkpointed |M| scaling plus the shift series, each term the correctly
-    rounded float of the exact n * m_K^2.
+    rounded float of the exact n * m_K^2, from probability.shift_floats.
 
     M is plus - minus of class_counts, on a table of at least
     prefix_limit(limit) entries: up to PREFIX_FLOOR that is [1, limit] and no
@@ -449,8 +454,8 @@ def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
     counts = class_counts(points, "all", mu_prefix)
     m_values = counts[:, 1] - counts[:, 0]
     ratios = np.abs(m_values) / np.sqrt(checkpoints.astype(np.float64))
-    denominator, numerators = shift_numerators(points, mu_prefix)
-    shifts = np.array([numerators[n] / denominator for n in points], dtype=np.float64)
+    floats = shift_floats(points, mu_prefix)
+    shifts = np.array([floats[n] for n in points], dtype=np.float64)
     running_max = np.maximum.accumulate(np.abs(m_values))
     log_n = np.log(checkpoints.astype(np.float64))
     log_rm = np.log(np.maximum(running_max, 1).astype(np.float64))

@@ -360,6 +360,15 @@ class TestWalkCommand:
         assert "memory budget" in err and "sieving" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["walk", "density"])
+    def test_huge_max_is_over_the_budget(self, capsys, tmp_path, command):
+        # the prefix size's cube root of a 400-digit max is taken in integers, not floats
+        code, out, err = run(capsys, command, "--max", "9" * 400, "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err and "sieving" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "walk", "--max", "2000", "--format", "json", "--cache-dir", str(tmp_path)

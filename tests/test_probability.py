@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiuslab import probability as probability_module
 from mobiuslab import sieve_moebius
 from mobiuslab.probability import (
     HarmonicMuSeries,
@@ -20,8 +22,11 @@ from mobiuslab.probability import (
     prob_triple_even,
     prob_triple_general,
     prob_triple_odd,
+    shift_floats,
+    shift_numerators,
     triple_from_series,
 )
+from mobiuslab.stochastic import _RECURSION_BYTES_PER_ROOT, checkpoint_grid
 
 F = Fraction
 
@@ -145,6 +150,81 @@ class TestHarmonicSeries:
     def test_m_squared_becomes_small(self, table_10k):
         for k in (1000, 3163, 10**4):
             assert float(harmonic_series(k, table_10k).m) ** 2 <= 1e-2
+
+
+def counting_fallback(monkeypatch):
+    """The lists of n that shift_floats sends to shift_numerators, one per call."""
+    calls = []
+
+    def wrapper(ns, mu_prefix):
+        ns = list(ns)
+        calls.append(ns)
+        return shift_numerators(ns, mu_prefix)
+
+    monkeypatch.setattr(probability_module, "shift_numerators", wrapper)
+    return calls
+
+
+def exact_floats(ns, table):
+    """The int/int floats of shift_numerators, the exact path."""
+    denominator, numerators = shift_numerators(ns, table)
+    return {n: numerators[n] / denominator for n in ns}
+
+
+class TestShiftFloats:
+    NS = [*checkpoint_grid(1000, 10**6), 1, 3, 4, 8, 9, 999_999]
+
+    @pytest.mark.parametrize("bits", [8, 256])
+    def test_both_paths_round_the_exact_series(self, monkeypatch, table_10k, bits):
+        monkeypatch.setattr(probability_module, "SHIFT_BITS", bits)
+        calls = counting_fallback(monkeypatch)
+        got = shift_floats(self.NS, table_10k)
+        for n in self.NS:
+            assert got[n] == float(n * harmonic_series(isqrt(n), table_10k).m ** 2), n
+        fallbacks = [n for ns in calls for n in ns]
+        if bits == 8:
+            # a bracket of +/- K units of 2^-8 rounds to one double nowhere here
+            assert sorted(fallbacks) == sorted(self.NS)
+        else:
+            assert fallbacks == []
+
+    def test_fallback_takes_only_the_failed_cutoffs(self, monkeypatch, table_10k):
+        # at E = 64 the smallest cutoffs pass Ziv's test and most others fail
+        monkeypatch.setattr(probability_module, "SHIFT_BITS", 64)
+        calls = counting_fallback(monkeypatch)
+        ns = checkpoint_grid(1, 10**8)
+        assert shift_floats(ns, table_10k) == exact_floats(ns, table_10k)
+        assert len(calls) == 1 and 0 < len(calls[0]) < len(ns)
+
+    def test_walk_to_1e10_from_a_small_table(self, monkeypatch, table_100k):
+        points = checkpoint_grid(1000, 10**10)
+        assert len(points) == 57
+        calls = counting_fallback(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = shift_floats(points, table_100k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert got == exact_floats(points, table_100k)
+        # within what the walk's class_counts already charges per isqrt(x)
+        assert peak <= _RECURSION_BYTES_PER_ROOT * 10**5
+
+    @pytest.mark.parametrize("bits", [12, 256])
+    @given(ns=st.lists(st.integers(1, 10**8), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_random_n(self, table_10k, bits, ns):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probability_module, "SHIFT_BITS", bits)
+            assert shift_floats(ns, table_10k) == exact_floats(ns, table_10k)
+
+    def test_validation(self, table_10k):
+        assert shift_floats([], table_10k) == {}
+        with pytest.raises(ValueError, match=">= 1"):
+            shift_floats([0, 5], table_10k)
+        with pytest.raises(ValueError, match="covers 10000, cutoff 10001"):
+            shift_floats([10001**2], table_10k)
 
 
 class TestTripleFixtures:

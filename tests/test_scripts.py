@@ -57,6 +57,12 @@ def test_mertens_shift_report_needs_two_checkpoints(tmp_path):
     assert list(tmp_path.iterdir()) == []  # exits before it sieves
 
 
+def test_mertens_shift_report_over_the_budget(tmp_path):
+    err = run_script("mertens_shift_report.py", "--max", "9" * 400, cwd=tmp_path, code=2)
+    assert "memory budget" in err
+    assert list(tmp_path.iterdir()) == []  # charged before it could sieve
+
+
 def test_coin_calibration(tmp_path):
     out = run_script(
         "coin_calibration.py", "--seeds", "20", "--length", "400", "--bias", "0.75", cwd=tmp_path

@@ -20,6 +20,7 @@ from mobiuslab import stochastic as stochastic_module
 from mobiuslab.probability import shift_numerators
 from mobiuslab.stochastic import (
     _COIN_BLOCK_BYTES,
+    _icbrt,
     MIN_TEST_LENGTH,
     MIN_WALK_LIMIT,
     checkpoint_grid,
@@ -523,6 +524,16 @@ class TestClassCounts:
         monkeypatch.setattr(stochastic_module, "PREFIX_SCALE", 1)
         assert prefix_limit(10**6) == 10**4
         assert prefix_limit(26) == 6  # isqrt(26) + 1, above 2^2
+
+    def test_integer_cube_root(self):
+        # integers only, so no x is too large for a float; exact on each side of a cube
+        rng = random.Random(5)
+        roots = [*range(1, 1000), *(10**k + d for k in range(3, 201) for d in (-1, 0, 1))]
+        roots += [rng.randrange(1, 10**200) for _ in range(100)]
+        assert _icbrt(0) == 0
+        for c in roots:
+            assert (_icbrt(c**3 - 1), _icbrt(c**3), _icbrt(c**3 + 1)) == (c - 1, c, c), c
+        assert prefix_limit(10**399) == 16 * 10**266
 
     def test_short_table_rejected(self, table_10k):
         with pytest.raises(ValueError, match="need 10001"):

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mobiuslab.identity import identity_blocks
+from mobiuslab.identity import _charge_identity_blocks, identity_blocks
 from mobiuslab.probability import (
     _check_n,
     delta_prob,
@@ -106,7 +106,9 @@ def resolve_cache_dir(flag_value: str | None) -> Path:
 
 def ensure_table(limit: int, cache_dir: Path) -> MoebiusTable:
     """mu(1..limit) from the smallest cached table named as covering it,
-    reading only that prefix, or sieved and cached on a miss."""
+    reading only that prefix, or sieved and cached on a miss; charged before
+    either."""
+    _charge(limit + 1, f"a table of limit {limit}")
     best: tuple[int, Path] | None = None
     if cache_dir.is_dir():
         for path in cache_dir.glob("moebius_*.mobs"):
@@ -198,8 +200,9 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 def cmd_verify_identity(args: argparse.Namespace) -> int:
     if args.limit < 2:
         raise ValueError("--max must be >= 2")
-    table = ensure_table(args.limit, args.cache_dir)
     start, step = (3, 2) if args.odd_only else (2, 1)
+    _charge_identity_blocks(start, args.limit + 1, args.limit + 1)  # before a sieve could run
+    table = ensure_table(args.limit, args.cache_dir)
     for lo, got in identity_blocks(start, args.limit + 1, table.values, odd=args.odd_only):
         first = (start - lo) % step  # with --odd-only, the first odd n of the block
         expected = table.values[lo + first : lo + got.size : step]

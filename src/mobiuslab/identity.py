@@ -134,6 +134,17 @@ def _identity_block(lo: int, hi: int, mu: np.ndarray, odd: bool) -> np.ndarray:
     return acc
 
 
+def _charge_identity_blocks(lo: int, hi: int, table_bytes: int) -> int:
+    """Charge a table of table_bytes plus one block's scratch for an identity
+    pass over [lo, hi), before either exists; the block size."""
+    block = max(1, min(IDENTITY_BLOCK_SIZE, hi - lo))
+    _charge(
+        table_bytes + _BLOCK_BYTES_PER_SLOT * block,
+        f"an identity pass in blocks of {block} over a table of {table_bytes} bytes",
+    )
+    return block
+
+
 def identity_blocks(
     lo: int, hi: int, mu: np.ndarray, *, odd: bool = False
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -155,11 +166,7 @@ def identity_blocks(
         raise ValueError(
             f"prefix table covers {mu.size - 1} but n={hi - 1} needs mu up to {cutoff}"
         )
-    block = max(1, min(IDENTITY_BLOCK_SIZE, hi - lo))
-    _charge(
-        mu.nbytes + _BLOCK_BYTES_PER_SLOT * block,
-        f"an identity pass in blocks of {block} over a table of {mu.nbytes} bytes",
-    )
+    block = _charge_identity_blocks(lo, hi, mu.nbytes)
     return (
         (start, _identity_block(start, min(start + block, hi), mu, odd))
         for start in range(lo, hi, block)

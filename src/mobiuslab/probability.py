@@ -19,15 +19,14 @@ squarefree i <= K, so every nonzero term mu(i)/i has an exact numerator.
 The terms are summed in blocks of at most 64 consecutive i, each block over
 its own small lcm and then scaled once to P, so the big integers are
 touched once per block and not once per i. Fractions are formed only at
-the requested cutoffs; shift_numerators gives n * m_K^2 as an integer
-ratio, whose int/int division rounds correctly with no gcd.
+the requested cutoffs.
 
-The walk needs only that float, so shift_floats sums m_K in fixed point
-with SHIFT_BITS bits after the point, brackets it by the error of the
-floors, and keeps the float where both ends of the bracket round to it
-(Ziv's test); any n that fails is sent to shift_numerators. The exact
-numerators stay the fallback and the oracle, and shift_term, the series
-and the triples read only them.
+The walk needs only the float of n * m_K^2, so shift_floats sums m_K in
+fixed point with SHIFT_BITS bits after the point, brackets it by the error
+of the floors, and keeps the float where both ends of the bracket round to
+it (Ziv's test). Any other n reads the exact numerator a of m_K = a/P, and
+n a^2 / P^2 by int/int division rounds correctly with no gcd. shift_term,
+the series and the triples read only the exact numerators.
 """
 
 from __future__ import annotations
@@ -100,22 +99,23 @@ def _checked_cutoffs(cutoffs: Iterable[int], mu_prefix: MoebiusTable) -> list[in
 
 
 def _numerators(
-    cutoffs: Iterable[int], mu_prefix: MoebiusTable, *, full: bool
+    cutoffs: Iterable[int], mu_prefix: MoebiusTable
 ) -> tuple[int, dict[int, tuple[int, int, int, int]]]:
     """P and, at each requested cutoff K, the numerators (a, a_odd, b, b_odd):
     sum mu(i)/i over all i <= K and over odd i <= K is a/P and a_odd/P, and
     sum mu(i)/i^2 is b/P^2 and b_odd/P^2. P is the product of the primes up
-    to the largest cutoff. Unless `full`, only a is summed and the other
-    three are 0.
+    to the largest cutoff.
 
     Each block of at most _BLOCK consecutive i, cut short at every cutoff,
     is summed over lb, the lcm of its squarefree members, and added once
-    scaled by P // lb.
+    scaled by P // lb and by P^2 // lb^2 (a fifth of the cost of squaring
+    P // lb at K = 10^5).
     """
     wanted = _checked_cutoffs(cutoffs, mu_prefix)
     if not wanted:
         return 1, {}
     big = math.prod(_base_primes(wanted[-1]))
+    big2 = big * big
     values = mu_prefix.values
     out: dict[int, tuple[int, int, int, int]] = {}
     a = a_odd = b = b_odd = 0
@@ -124,29 +124,16 @@ def _numerators(
         while lo <= k:
             hi = min(lo + _BLOCK, k + 1)
             terms = [(i, mu) for i, mu in enumerate(values[lo:hi].tolist(), lo) if mu]
+            odd = [(i, mu) for i, mu in terms if i & 1]
             lb = math.lcm(*(i for i, _ in terms))
-            scale = big // lb
+            scale, scale2 = big // lb, big2 // (lb * lb)
             a += sum(mu * (lb // i) for i, mu in terms) * scale
-            if full:
-                odd = [(i, mu) for i, mu in terms if i & 1]
-                scale2 = scale * scale
-                a_odd += sum(mu * (lb // i) for i, mu in odd) * scale
-                b += sum(mu * (lb // i) ** 2 for i, mu in terms) * scale2
-                b_odd += sum(mu * (lb // i) ** 2 for i, mu in odd) * scale2
+            a_odd += sum(mu * (lb // i) for i, mu in odd) * scale
+            b += sum(mu * (lb // i) ** 2 for i, mu in terms) * scale2
+            b_odd += sum(mu * (lb // i) ** 2 for i, mu in odd) * scale2
             lo = hi
         out[k] = (a, a_odd, b, b_odd)
     return big, out
-
-
-def shift_numerators(
-    ns: Iterable[int], mu_prefix: MoebiusTable
-) -> tuple[int, dict[int, int]]:
-    """D and {n: N} with N / D = n * m_K^2 exactly, K = floor(sqrt(n)), n >= 1:
-    D = P^2 and N = n a^2 for the numerator a of m_K = a/P, so the int/int
-    true division N / D is the correctly rounded float, with no gcd."""
-    ns = list(ns)
-    big, numerators = _numerators({isqrt(n) for n in ns}, mu_prefix, full=False)
-    return big * big, {n: n * numerators[isqrt(n)][0] ** 2 for n in ns}
 
 
 def shift_floats(ns: Iterable[int], mu_prefix: MoebiusTable) -> dict[int, float]:
@@ -157,8 +144,8 @@ def shift_floats(ns: Iterable[int], mu_prefix: MoebiusTable) -> dict[int, float]
     loses less than 1, so m_K 2^E lies inside (A - K, A + K). Where that
     bracket excludes 0, n t^2 is monotone on it, and where its two ends give
     the same double, n (A -/+ K)^2 / 2^(2E) by int/int division, so does
-    n m_K^2 (Ziv's test). Every other n is recomputed exactly by
-    shift_numerators.
+    n m_K^2 (Ziv's test). Every other n is n a^2 / P^2 by int/int division,
+    from the exact numerator a of m_K = a/P that _numerators sums.
     """
     ns = list(ns)
     cutoffs = _checked_cutoffs({isqrt(n) for n in ns}, mu_prefix)
@@ -185,8 +172,9 @@ def shift_floats(ns: Iterable[int], mu_prefix: MoebiusTable) -> dict[int, float]
                 continue
         misses.append(n)
     if misses:
-        denominator, numerators = shift_numerators(misses, mu_prefix)
-        out.update((n, numerators[n] / denominator) for n in misses)
+        big, numerators = _numerators({isqrt(n) for n in misses}, mu_prefix)
+        big2 = big * big
+        out.update((n, n * numerators[isqrt(n)][0] ** 2 / big2) for n in misses)
     return out
 
 
@@ -194,7 +182,7 @@ def harmonic_series_many(
     cutoffs: Iterable[int], mu_prefix: MoebiusTable
 ) -> dict[int, HarmonicMuSeries]:
     """Series at every requested cutoff from one accumulation pass."""
-    big, numerators = _numerators(cutoffs, mu_prefix, full=True)
+    big, numerators = _numerators(cutoffs, mu_prefix)
     big2 = big * big
     return {
         k: HarmonicMuSeries(

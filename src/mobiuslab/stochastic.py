@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from mobiuslab import rng
-from mobiuslab.probability import density_limits, shift_floats, shift_numerators
+from mobiuslab.probability import density_limits, harmonic_series, shift_floats
 from mobiuslab.sieve import MoebiusTable, _charge, mertens_series
 
 MIN_TEST_LENGTH = 100
@@ -421,8 +421,7 @@ def shift_term(n: int, mu_prefix: MoebiusTable) -> Fraction:
     """Systematic Mertens drift estimate n * m_K^2 at K = floor(sqrt(n))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    denominator, numerators = shift_numerators([n], mu_prefix)
-    return Fraction(numerators[n], denominator)
+    return n * harmonic_series(math.isqrt(n), mu_prefix).m ** 2
 
 
 def checkpoint_grid(lo: int, hi: int) -> list[int]:

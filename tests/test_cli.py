@@ -104,6 +104,22 @@ class TestVerifyIdentityCommand:
         assert code == 2
         assert "2" in err
 
+    @pytest.mark.parametrize("odd", [[], ["--odd-only"]])
+    def test_over_budget_pass_exits_before_it_sieves(self, capsys, tmp_path, monkeypatch, odd):
+        # the table and one block's scratch are charged before the table is sieved
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 10**6)
+        code, out, err = run(
+            capsys, "verify-identity", "--max", "300000", *odd, "--cache-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err and "sieving" not in err
+        assert list(tmp_path.iterdir()) == []
+        code, out, _ = run(
+            capsys, "verify-identity", "--max", "100000", *odd, "--cache-dir", str(tmp_path)
+        )
+        assert code == 0 and "matches" in out
+
     @staticmethod
     def _cache_with_wrong_values(tmp_path, limit, positions):
         values = sieve_moebius(limit).values.copy()
@@ -209,6 +225,17 @@ class TestProbsCommand:
         assert out == ""
         assert "n must be >= 2" in err and "sieving" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_over_budget_table_exits_before_it_sieves(self, capsys, tmp_path):
+        # n = 5e18 needs mu up to isqrt(n) + 10 = 2236067987, over the 2 GiB budget
+        cache = tmp_path / "cache"
+        code, out, err = run(
+            capsys, "probs", "--n", "5000000000000000000", "--cache-dir", str(cache)
+        )
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err and "sieving" not in err
+        assert not cache.exists()
 
 
 class TestDensityCommand:

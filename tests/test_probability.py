@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -23,7 +24,6 @@ from mobiuslab.probability import (
     prob_triple_general,
     prob_triple_odd,
     shift_floats,
-    shift_numerators,
     triple_from_series,
 )
 from mobiuslab.stochastic import _RECURSION_BYTES_PER_ROOT, checkpoint_grid
@@ -56,16 +56,14 @@ def reference_numerators(cutoffs, table):
 
 def assert_numerators_match_reference(cutoffs, table):
     """Both sides name the same four rationals at every cutoff, checked by
-    cross-multiplying; the m-only pass gives the same a and zeros."""
-    big, got = _numerators(cutoffs, table, full=True)
+    cross-multiplying."""
+    big, got = _numerators(cutoffs, table)
     lcm, want = reference_numerators(cutoffs, table)
-    _, m_only = _numerators(cutoffs, table, full=False)
-    assert sorted(got) == sorted(want) == sorted(m_only)
+    assert sorted(got) == sorted(want)
     for k, (a, a_odd, b, b_odd) in want.items():
         ga, ga_odd, gb, gb_odd = got[k]
         assert ga * lcm == a * big and ga_odd * lcm == a_odd * big, k
         assert gb * lcm**2 == b * big**2 and gb_odd * lcm**2 == b_odd * big**2, k
-        assert m_only[k] == (ga, 0, 0, 0), k
 
 
 class TestBlockAccumulator:
@@ -96,14 +94,14 @@ class TestBlockAccumulator:
         for k in range(1, 2001):
             if table_10k.values[k]:
                 lcm = math.lcm(lcm, k)
-            assert _numerators([k], table_10k, full=False)[0] == lcm, k
+            assert _numerators([k], table_10k)[0] == lcm, k
 
     def test_validation(self, table_10k):
-        assert _numerators([], table_10k, full=True) == (1, {})
+        assert _numerators([], table_10k) == (1, {})
         with pytest.raises(ValueError):
-            _numerators([0, 5], table_10k, full=True)
+            _numerators([0, 5], table_10k)
         with pytest.raises(ValueError):
-            _numerators([10**4 + 1], table_10k, full=False)
+            _numerators([10**4 + 1], table_10k)
 
 
 class TestHarmonicSeries:
@@ -153,22 +151,25 @@ class TestHarmonicSeries:
 
 
 def counting_fallback(monkeypatch):
-    """The lists of n that shift_floats sends to shift_numerators, one per call."""
+    """The cutoff lists that shift_floats sends to _numerators, one per call
+    (calls from any other function, such as harmonic_series, are not kept)."""
     calls = []
 
-    def wrapper(ns, mu_prefix):
-        ns = list(ns)
-        calls.append(ns)
-        return shift_numerators(ns, mu_prefix)
+    def wrapper(cutoffs, mu_prefix):
+        cutoffs = sorted(cutoffs)
+        if sys._getframe(1).f_code is shift_floats.__code__:
+            calls.append(cutoffs)
+        return _numerators(cutoffs, mu_prefix)
 
-    monkeypatch.setattr(probability_module, "shift_numerators", wrapper)
+    monkeypatch.setattr(probability_module, "_numerators", wrapper)
     return calls
 
 
 def exact_floats(ns, table):
-    """The int/int floats of shift_numerators, the exact path."""
-    denominator, numerators = shift_numerators(ns, table)
-    return {n: numerators[n] / denominator for n in ns}
+    """n a^2 / P^2 by int/int division from the exact numerator a of
+    m_K = a/P: the fallback's path."""
+    big, numerators = _numerators({isqrt(n) for n in ns}, table)
+    return {n: n * numerators[isqrt(n)][0] ** 2 / (big * big) for n in ns}
 
 
 class TestShiftFloats:
@@ -181,10 +182,10 @@ class TestShiftFloats:
         got = shift_floats(self.NS, table_10k)
         for n in self.NS:
             assert got[n] == float(n * harmonic_series(isqrt(n), table_10k).m ** 2), n
-        fallbacks = [n for ns in calls for n in ns]
+        fallbacks = [k for cutoffs in calls for k in cutoffs]
         if bits == 8:
             # a bracket of +/- K units of 2^-8 rounds to one double nowhere here
-            assert sorted(fallbacks) == sorted(self.NS)
+            assert fallbacks == sorted({isqrt(n) for n in self.NS})
         else:
             assert fallbacks == []
 
@@ -194,7 +195,7 @@ class TestShiftFloats:
         calls = counting_fallback(monkeypatch)
         ns = checkpoint_grid(1, 10**8)
         assert shift_floats(ns, table_10k) == exact_floats(ns, table_10k)
-        assert len(calls) == 1 and 0 < len(calls[0]) < len(ns)
+        assert len(calls) == 1 and 0 < len(calls[0]) < len({isqrt(n) for n in ns})
 
     def test_walk_to_1e10_from_a_small_table(self, monkeypatch, table_100k):
         points = checkpoint_grid(1000, 10**10)

@@ -1,5 +1,6 @@
 """The experiment scripts, each run end to end at a small size in its own process."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -49,6 +50,16 @@ def test_mertens_shift_report(tmp_path):
     assert [row[0] for row in rows] == ["1000", "1333", "1778", "2371", "3162", "4216"]
     assert rows[0][1] == "2"  # M(1000)
     assert "over 6 checkpoints" in out
+
+
+def test_mertens_shift_report_is_pinned(tmp_path):
+    # every byte of the report; alpha and its residual are printed to 4 places,
+    # far from where a last-bit difference of np.polyfit could move them
+    out = run_script("mertens_shift_report.py", "--max", "100000", cwd=tmp_path)
+    assert out.endswith("alpha = 0.7095 (rms residual 0.3319) over 17 checkpoints\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "70ee1152b2479b9e640774b357e2c698f40e574608f1cd3642739c465a04ac9e"
+    )
 
 
 def test_mertens_shift_report_needs_two_checkpoints(tmp_path):

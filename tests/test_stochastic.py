@@ -17,7 +17,7 @@ from mobiuslab import (
     sieve_moebius,
 )
 from mobiuslab import stochastic as stochastic_module
-from mobiuslab.probability import shift_numerators
+from mobiuslab.probability import _numerators
 from mobiuslab.stochastic import (
     _COIN_BLOCK_BYTES,
     _icbrt,
@@ -467,11 +467,15 @@ class TestMertensWalk:
         table = sieve_moebius(10**6)
         stats = mertens_walk_stats(10**6, table)
         shifts = dict(zip(stats.checkpoints.tolist(), stats.shift_terms.tolist()))
-        # and the exact ratios behind them, also below the grid and at cutoff edges
-        denominator, numerators = shift_numerators([*shifts, 1, 3, 4, 8, 9, 999_999], table)
-        for n, numerator in numerators.items():
+        # and the exact ratios behind them, also below the grid and at cutoff edges:
+        # shift_term, and the int/int division n a^2 / P^2 of the fallback
+        ns = [*shifts, 1, 3, 4, 8, 9, 999_999]
+        big, numerators = _numerators({math.isqrt(n) for n in ns}, table)
+        for n in ns:
             exact = n * harmonic_series(math.isqrt(n), table).m ** 2
-            assert Fraction(numerator, denominator) == exact, n
+            numerator = n * numerators[math.isqrt(n)][0] ** 2
+            assert Fraction(numerator, big * big) == shift_term(n, table) == exact, n
+            assert numerator / (big * big) == float(exact), n
             if n in shifts:
                 assert shifts[n] == float(exact), n
 

@@ -55,7 +55,6 @@ from mobiuslab.sieve import (
     sieve_moebius,
 )
 from mobiuslab.stochastic import (
-    MIN_TEST_LENGTH,
     MIN_WALK_LIMIT,
     _charge_sign_sequence,
     checkpoint_grid,
@@ -313,10 +312,6 @@ def cmd_mustats(args: argparse.Namespace) -> int:
         table = ensure_table(b - 1, args.cache_dir)
         seq = sign_sequence_squarefree(a, b, args.parity, table)
         descriptor = f"mu-signs[{a}:{b}) parity={args.parity}"
-    if seq.size < MIN_TEST_LENGTH:
-        raise ValueError(
-            f"sequence of length {seq.size} is below the test minimum {MIN_TEST_LENGTH}"
-        )
     reports = [chi_square_balance(seq, descriptor), runs_test(seq, descriptor)]
     reports += [
         lag_autocorrelation(seq, k, descriptor) for k in range(1, args.lag + 1)

@@ -42,11 +42,12 @@ IDENTITY_BLOCK_SIZE = 1 << 22
 _BLOCK_BYTES_PER_SLOT = 5
 
 
-def _require_prefix(n: int, mu_prefix: MoebiusTable) -> int:
+def _require_prefix(n: int, mu: np.ndarray) -> int:
+    """isqrt(n), the cutoff at n, once mu[i] covers every i up to it."""
     cutoff = isqrt(n)
-    if mu_prefix.limit < cutoff:
+    if mu.size <= cutoff:
         raise ValueError(
-            f"prefix table covers {mu_prefix.limit} but n={n} needs mu up to {cutoff}"
+            f"prefix table covers {mu.size - 1} but n={n} needs mu up to {cutoff}"
         )
     return cutoff
 
@@ -77,7 +78,7 @@ def moebius_via_identity(n: int, mu_prefix: MoebiusTable) -> int:
     """Evaluate the delta sum at n; equals mu(n)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    cutoff = _require_prefix(n, mu_prefix)
+    cutoff = _require_prefix(n, mu_prefix.values)
     items = _divisor_items(n, cutoff, mu_prefix.values)
     return _identity_sum(n, items)
 
@@ -161,11 +162,7 @@ def identity_blocks(
     """
     if lo < 2:
         raise ValueError("lo must be >= 2")
-    cutoff = isqrt(max(hi - 1, 1))
-    if mu.size <= cutoff:
-        raise ValueError(
-            f"prefix table covers {mu.size - 1} but n={hi - 1} needs mu up to {cutoff}"
-        )
+    _require_prefix(max(hi - 1, 1), mu)
     block = _charge_identity_blocks(lo, hi, mu.nbytes)
     return (
         (start, _identity_block(start, min(start + block, hi), mu, odd))

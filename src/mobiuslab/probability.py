@@ -224,7 +224,11 @@ def _check_n(n: int, parity_class: ParityClass) -> None:
         raise ValueError(f"{parity_class} class requires {parity_class} n")
 
 
-def _series_for(n: int, mu_prefix: MoebiusTable, series: HarmonicMuSeries | None):
+def _series_for(
+    n: int, parity_class: ParityClass, mu_prefix: MoebiusTable, series: HarmonicMuSeries | None
+) -> HarmonicMuSeries:
+    """The series at floor(sqrt(n)), given or summed, once n fits its class."""
+    _check_n(n, parity_class)
     cutoff = isqrt(n)
     if series is None:
         return harmonic_series(cutoff, mu_prefix)
@@ -241,8 +245,7 @@ def triple_from_series(
     """(p_minus, p_plus, p_zero) for a class, straight from partial sums."""
     msq = _of_class(parity_class, series.m, series.m_odd, 2)
     s2 = _of_class(parity_class, series.s2, series.s2_odd)
-    half = Fraction(1, 2)
-    return (half * msq + half * s2, -half * msq + half * s2, 1 - s2)
+    return ((s2 + msq) / 2, (s2 - msq) / 2, 1 - s2)
 
 
 def _triple(
@@ -251,9 +254,8 @@ def _triple(
     mu_prefix: MoebiusTable,
     series: HarmonicMuSeries | None,
 ) -> ProbabilityTriple:
-    _check_n(n, parity_class)
     p_minus, p_plus, p_zero = triple_from_series(
-        _series_for(n, mu_prefix, series), parity_class
+        _series_for(n, parity_class, mu_prefix, series), parity_class
     )
     return ProbabilityTriple(p_minus, p_plus, p_zero, n=n, parity_class=parity_class)
 
@@ -291,15 +293,13 @@ def delta_prob(
     general: m_K^2; odd: (m_K^odd)^2; even: 2 m_K^2 - (m_K^odd)^2. The
     even gap can be negative at small cutoffs.
     """
-    _check_n(n, parity_class)
-    series = _series_for(n, mu_prefix, series)
+    series = _series_for(n, parity_class, mu_prefix, series)
     return _of_class(parity_class, series.m, series.m_odd, 2)
 
 
 def interval_of(n: int, mu_prefix: MoebiusTable) -> IntervalBracket:
     """Bracketing squares of consecutive squarefree integers around n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_n(n, "general")
     root = isqrt(n)
     if mu_prefix.limit < root:
         raise ValueError(f"prefix table covers {mu_prefix.limit}, need {root}")

@@ -48,13 +48,6 @@ def _counters(count: int) -> np.ndarray:
     return np.arange(1, count + 1, dtype=np.uint64) * _U64(_GOLDEN)
 
 
-def words(seed: int, stream: int, count: int) -> np.ndarray:
-    """First `count` words of a stream."""
-    block = _counters(count)
-    block += _keys(seed, [stream])
-    return mix64(block)
-
-
 def word_block(seed: int, streams, count: int, *, out=None, scratch=None) -> np.ndarray:
     """Matrix of words, one row per stream index; indices lie in [0, 2^64).
 
@@ -69,7 +62,7 @@ def word_block(seed: int, streams, count: int, *, out=None, scratch=None) -> np.
 
 
 def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    """float64 samples in [0, 1), 53 bits each."""
-    top = words(seed, stream, count)
+    """float64 samples in [0, 1): the top 53 bits of the stream's first count words."""
+    top = word_block(seed, [stream], count)[0]
     top >>= _U64(11)
     return top * (1.0 / (1 << 53))

@@ -325,7 +325,8 @@ def sign_sequence_squarefree(
 def _charge_sign_sequence(a: int, b: int, parity: str, limit: int) -> None:
     """Charge a table of mu(1..limit) and the copies of a sign sequence over
     the parity class in [a, b), before either exists."""
-    members = len(_members(a, b, parity))
+    span = _members(a, b, parity)
+    members = -(-(span.stop - span.start) // span.step)  # len() overflows past 2^63
     _charge(
         limit + 1 + _SIGN_SEQUENCE_BYTES_PER_ENTRY * members,
         f"a sign sequence over {members} {parity} integers",

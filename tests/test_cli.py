@@ -464,7 +464,7 @@ class TestMustatsCommand:
     def test_short_range_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "mustats", "--range", "1:11", "--cache-dir", str(tmp_path))
         assert code == 2
-        assert "100" in err
+        assert "chi_square_balance needs at least 100 entries, got 7" in err
 
     def test_reports_over_mu_signs(self, capsys, tmp_path):
         code, out, _ = run(
@@ -525,6 +525,19 @@ class TestMustatsCommand:
         assert out == ""
         assert "memory budget" in err and "sieving" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("parity", ["all", "odd", "even"])
+    def test_range_past_2_63_members_exits_before_it_sieves(self, capsys, tmp_path, parity):
+        # each class of [1, 1e20) has more members than a range's len() can count
+        cache = tmp_path / "cache"
+        code, out, err = run(
+            capsys, "mustats", "--range", f"1:{10**20}", "--parity", parity,
+            "--cache-dir", str(cache),
+        )
+        assert code == 2
+        assert out == ""
+        assert "memory budget" in err and "sieving" not in err
+        assert not cache.exists()
 
 
 class TestCaching:

@@ -56,8 +56,8 @@ def identity_terms(n: int, mu_prefix: MoebiusTable) -> IdentityTermSet:
     reference the divisor scan and the range blocks are checked against."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    cutoff = _require_prefix(n, mu_prefix)
     mu = mu_prefix.values
+    cutoff = _require_prefix(n, mu)
     nonzero = [(i, int(mu[i])) for i in range(1, cutoff + 1) if mu[i] != 0]
     terms = tuple(
         IdentityTerm(i=i, j=j, coefficient=mi * mj, fired=n % (i * j) == 0)

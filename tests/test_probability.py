@@ -90,11 +90,17 @@ class TestBlockAccumulator:
             )
 
     def test_denominator_is_lcm_of_squarefree(self, table_10k):
-        lcm = 1
+        # The lcm of the squarefree i <= k grows only at primes and is constant
+        # between them. Each call runs a full pass to k, so P is checked at every
+        # k to 100 and, up to 2000, at each k where the lcm grows, the k before
+        # it, and 2000 itself.
+        lcms = [1]
         for k in range(1, 2001):
-            if table_10k.values[k]:
-                lcm = math.lcm(lcm, k)
-            assert _numerators([k], table_10k)[0] == lcm, k
+            lcms.append(math.lcm(lcms[-1], k) if table_10k.values[k] else lcms[-1])
+        grows = [k for k in range(2, 2001) if lcms[k] != lcms[k - 1]]
+        checked = {*range(1, 101), *grows, *(k - 1 for k in grows), 2000}
+        for k in sorted(checked):
+            assert _numerators([k], table_10k)[0] == lcms[k], k
 
     def test_validation(self, table_10k):
         assert _numerators([], table_10k) == (1, {})

@@ -17,6 +17,7 @@ from mobiuslab import (
     lag_autocorrelation,
     runs_test,
 )
+from mobiuslab.stochastic import MIN_TEST_LENGTH
 
 
 def rejection_rates(seeds: int, length: int, p_plus: float, master_seed: int) -> dict:
@@ -41,6 +42,10 @@ def main() -> None:
     parser.add_argument("--bias", type=float, default=0.6)
     parser.add_argument("--master-seed", type=int, default=12345)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
+    if args.length < MIN_TEST_LENGTH:
+        parser.error(f"--length must be >= {MIN_TEST_LENGTH}, the randomness tests' minimum")
 
     for label, p_plus in (("fair coin", 0.5), (f"biased coin p={args.bias}", args.bias)):
         rates = rejection_rates(args.seeds, args.length, p_plus, args.master_seed)

@@ -36,6 +36,7 @@ import numpy as np
 
 from mobiuslab.identity import _charge_identity_blocks, identity_blocks
 from mobiuslab.probability import (
+    _SERIES_BYTES_PER_CUTOFF,
     _check_n,
     delta_prob,
     density_limits,
@@ -224,7 +225,11 @@ def cmd_probs(args: argparse.Namespace) -> int:
     # interval_of needs a squarefree b in (root, root + 10]: the longest run of
     # non-squarefree integers below 1e8 has 9 members (8870024-8870032), so this holds
     # for every root below 1e8. Warm and cold calls read the same prefix.
-    table = ensure_table(max(isqrt(n) + 10, 100), args.cache_dir)
+    limit = max(isqrt(n) + 10, 100)
+    # the table with the exact series it feeds, before a sieve could run
+    needed = limit + 1 + _SERIES_BYTES_PER_CUTOFF * isqrt(n)
+    _charge(needed, f"the table and exact series for n = {n}")
+    table = ensure_table(limit, args.cache_dir)
     series = harmonic_series(isqrt(n), table)
     # Built per call, so that wrappers installed on these module names (a tracer,
     # say) are the functions called.

@@ -237,6 +237,17 @@ class TestProbsCommand:
         assert "memory budget" in err and "sieving" not in err
         assert not cache.exists()
 
+    def test_over_budget_series_exits_before_it_sieves(self, capsys, tmp_path):
+        # n = 1e17 needs mu up to 316227776, within the budget, but the series to
+        # K = 316227766 is charged 16 bytes per unit of K, over it
+        cache = tmp_path / "cache"
+        code, out, err = run(capsys, "probs", "--n", str(10**17), "--cache-dir", str(cache))
+        assert code == 2
+        assert out == ""
+        assert "the table and exact series for n = 100000000000000000" in err
+        assert "memory budget" in err and "sieving" not in err
+        assert not cache.exists()
+
 
 class TestDensityCommand:
     def test_header_and_small_scan(self, capsys, tmp_path):

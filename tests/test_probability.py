@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiuslab import ResourceLimitError, sieve_moebius
 from mobiuslab import probability as probability_module
-from mobiuslab import sieve_moebius
+from mobiuslab import sieve as sieve_module
 from mobiuslab.probability import (
     HarmonicMuSeries,
     _BLOCK,
     _numerators,
+    _reduced,
     delta_prob,
     density_limits,
     harmonic_series,
@@ -56,25 +58,66 @@ def reference_numerators(cutoffs, table):
 
 def assert_numerators_match_reference(cutoffs, table):
     """Both sides name the same four rationals at every cutoff, checked by
-    cross-multiplying."""
-    big, got = _numerators(cutoffs, table)
+    cross-multiplying: a/P_K, a_odd/P_K, b/P_K^2 and b_odd/P_K^2 against the
+    reference over lcm(1..K) and its square."""
+    got = dict(_numerators(cutoffs, table))
     lcm, want = reference_numerators(cutoffs, table)
     assert sorted(got) == sorted(want)
-    for k, (a, a_odd, b, b_odd) in want.items():
-        ga, ga_odd, gb, gb_odd = got[k]
-        assert ga * lcm == a * big and ga_odd * lcm == a_odd * big, k
-        assert gb * lcm**2 == b * big**2 and gb_odd * lcm**2 == b_odd * big**2, k
+    for k, sums in want.items():
+        big = got[k][0][1]
+        assert [d for _, d, _ in got[k]] == [big, big, big * big, big * big], k
+        for (n, d, _), ref, ref_d in zip(got[k], sums, (lcm, lcm, lcm**2, lcm**2)):
+            assert n * ref_d == ref * d, k
+
+
+def assert_reduced_like_fraction(cutoffs, table):
+    """At every cutoff each gcd is math.gcd of its numerator and denominator,
+    and the series' four values have the numerator and denominator of the
+    gcd-normalized Fraction(n, d), the oracle of the reduction."""
+    bank = harmonic_series_many(cutoffs, table)
+    seen = set()
+    for k, parts in _numerators(cutoffs, table):
+        series = bank[k]
+        values = (series.m, series.m_odd, series.s2, series.s2_odd)
+        for value, (n, d, g) in zip(values, parts):
+            want = F(n, d)
+            assert g == math.gcd(n, d), k
+            assert (value.numerator, value.denominator) == (want.numerator, want.denominator), k
+        seen.add(k)
+    assert seen == set(cutoffs)
+
+
+def primes_to(bound):
+    return [p for p in range(2, bound + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
 
 
 class TestBlockAccumulator:
     def test_every_cutoff_to_3000(self, table_10k):
         assert_numerators_match_reference(range(1, 3001), table_10k)
+        assert_reduced_like_fraction(range(1, 3001), table_10k)
 
     def test_cutoffs_at_block_edges(self, table_10k):
         edges = [j * _BLOCK + d for j in range(1, 12) for d in (-1, 0, 1)]
         assert_numerators_match_reference(edges, table_10k)
+        assert_reduced_like_fraction(edges, table_10k)
         for k in edges:
             assert_numerators_match_reference([k], table_10k)
+            assert_reduced_like_fraction([k], table_10k)
+
+    def test_cutoffs_where_the_primorial_grows(self, table_10k):
+        # P_K takes a factor p at each prime p: the cutoffs p - 1, p and p + 1,
+        # alone and as one bank
+        around = sorted({p + d for p in primes_to(1000) for d in (-1, 0, 1)} - {0})
+        assert_reduced_like_fraction(around, table_10k)
+        for k in around:
+            assert_reduced_like_fraction([k], table_10k)
+
+    def test_criterion_4_bank(self, table_100k):
+        # the 927 cutoffs of test_acceptance's criterion 4, up to 10^4
+        rng = random.Random(20260809)
+        cutoffs = {isqrt(rng.randrange(2, 10**8 + 1)) for _ in range(1000)}
+        assert len(cutoffs) == 927
+        assert_reduced_like_fraction(cutoffs, table_100k)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_cutoff_sets(self, table_100k, seed):
@@ -90,24 +133,51 @@ class TestBlockAccumulator:
             )
 
     def test_denominator_is_lcm_of_squarefree(self, table_10k):
-        # The lcm of the squarefree i <= k grows only at primes and is constant
-        # between them. Each call runs a full pass to k, so P is checked at every
-        # k to 100 and, up to 2000, at each k where the lcm grows, the k before
-        # it, and 2000 itself.
-        lcms = [1]
+        # P_K, the lcm of the squarefree i <= K, at every K to 2000 from one pass
+        got = dict(_numerators(range(1, 2001), table_10k))
+        lcm = 1
         for k in range(1, 2001):
-            lcms.append(math.lcm(lcms[-1], k) if table_10k.values[k] else lcms[-1])
-        grows = [k for k in range(2, 2001) if lcms[k] != lcms[k - 1]]
-        checked = {*range(1, 101), *grows, *(k - 1 for k in grows), 2000}
-        for k in sorted(checked):
-            assert _numerators([k], table_10k)[0] == lcms[k], k
+            lcm = math.lcm(lcm, k) if table_10k.values[k] else lcm
+            assert got[k][0][1] == lcm, k
+
+    def test_reduced_skips_only_the_gcd(self):
+        pairs = [(0, 1), (1, 1), (-3, 1), (5, 6), (-7, 30), (2**200 + 1, 3**150)]
+        pairs.append((-(3**99), 2**127))
+        for n, d in pairs:
+            assert math.gcd(n, d) == 1
+            value = _reduced(n, d)
+            assert type(value) is F
+            assert value == F(n, d) and hash(value) == hash(F(n, d)), (n, d)
+            assert (value.numerator, value.denominator) == (n, d)
+        assert _reduced(4, 1) == 4 and hash(_reduced(4, 1)) == hash(4)
 
     def test_validation(self, table_10k):
-        assert _numerators([], table_10k) == (1, {})
+        assert list(_numerators([], table_10k)) == []
         with pytest.raises(ValueError):
-            _numerators([0, 5], table_10k)
+            list(_numerators([0, 5], table_10k))
         with pytest.raises(ValueError):
-            _numerators([10**4 + 1], table_10k)
+            list(_numerators([10**4 + 1], table_10k))
+
+    @pytest.mark.parametrize("cutoff", [1000, 10**4, 3 * 10**4])
+    def test_peak_within_its_charge(self, monkeypatch, table_100k, cutoff):
+        charged = []
+        monkeypatch.setattr(
+            probability_module, "_charge", lambda needed, what: charged.append(needed)
+        )
+        tracemalloc.start()
+        try:
+            for _ in _numerators([cutoff], table_100k):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged == [probability_module._SERIES_BYTES_PER_CUTOFF * cutoff]
+        assert peak <= charged[0] + 4096  # and a few small objects
+
+    def test_memory_budget_enforced(self, monkeypatch, table_10k):
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 10**4)
+        with pytest.raises(ResourceLimitError, match="the exact series to cutoff 1000"):
+            harmonic_series(1000, table_10k)
 
 
 class TestHarmonicSeries:
@@ -172,10 +242,14 @@ def counting_fallback(monkeypatch):
 
 
 def exact_floats(ns, table):
-    """n a^2 / P^2 by int/int division from the exact numerator a of
-    m_K = a/P: the fallback's path."""
-    big, numerators = _numerators({isqrt(n) for n in ns}, table)
-    return {n: n * numerators[isqrt(n)][0] ** 2 / (big * big) for n in ns}
+    """n a^2 / P_K^2 by int/int division from the exact numerator a of
+    m_K = a/P_K: the fallback's path."""
+    numerators = dict(_numerators({isqrt(n) for n in ns}, table))
+    out = {}
+    for n in ns:
+        a, big, _ = numerators[isqrt(n)][0]
+        out[n] = n * a * a / (big * big)
+    return out
 
 
 class TestShiftFloats:

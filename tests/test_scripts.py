@@ -82,3 +82,14 @@ def test_coin_calibration(tmp_path):
     assert "fair coin (20 seeds, length 400):" in fair
     assert fair.count("rejection rate") == 4
     assert "chi_square_balance: rejection rate 1.000" in biased
+
+
+def test_coin_calibration_refuses_what_it_cannot_run(tmp_path):
+    err = run_script("coin_calibration.py", "--length", "99", cwd=tmp_path, code=2)
+    assert "--length must be >= 100, the randomness tests' minimum" in err
+    assert "Traceback" not in err
+    err = run_script("coin_calibration.py", "--seeds", "0", cwd=tmp_path, code=2)
+    assert "--seeds must be >= 1" in err
+    assert "Traceback" not in err
+    out = run_script("coin_calibration.py", "--seeds", "1", "--length", "100", cwd=tmp_path)
+    assert "fair coin (1 seeds, length 100):" in out

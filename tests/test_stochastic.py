@@ -469,14 +469,14 @@ class TestMertensWalk:
         stats = mertens_walk_stats(10**6, table)
         shifts = dict(zip(stats.checkpoints.tolist(), stats.shift_terms.tolist()))
         # and the exact ratios behind them, also below the grid and at cutoff edges:
-        # shift_term, and the int/int division n a^2 / P^2 of the fallback
+        # shift_term, and the int/int division n a^2 / P_K^2 of the fallback
         ns = [*shifts, 1, 3, 4, 8, 9, 999_999]
-        big, numerators = _numerators({math.isqrt(n) for n in ns}, table)
+        numerators = dict(_numerators({math.isqrt(n) for n in ns}, table))
         for n in ns:
             exact = n * harmonic_series(math.isqrt(n), table).m ** 2
-            numerator = n * numerators[math.isqrt(n)][0] ** 2
-            assert Fraction(numerator, big * big) == shift_term(n, table) == exact, n
-            assert numerator / (big * big) == float(exact), n
+            a, big, _ = numerators[math.isqrt(n)][0]
+            assert Fraction(n * a * a, big * big) == shift_term(n, table) == exact, n
+            assert n * a * a / (big * big) == float(exact), n
             if n in shifts:
                 assert shifts[n] == float(exact), n
 

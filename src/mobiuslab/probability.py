@@ -23,22 +23,28 @@ requested cutoff the pass also gives each numerator's gcd with its
 denominator, found with no gcd of the big integers (see _numerators), and
 the Fractions are built from the reduced pairs without a gcd of their own.
 
+The triples are reduced the same way: the pass also finds the primes in
+(R, K], R about the square root of its largest cutoff, that divide each
+triple numerator over 2 P_K^2 or P_K^2 (see _Reduction), and a series
+carries their products, so a triple value costs one exact division by
+that product and gcds no larger than it.
+
 The walk needs only the float of n * m_K^2, so shift_floats sums m_K in
 fixed point with SHIFT_BITS bits after the point, brackets it by the error
 of the floors, and keeps the float where both ends of the bracket round to
 it (Ziv's test). Any other n reads the exact numerator a of m_K = a/P_K, and
-n a^2 / P_K^2 by int/int division rounds correctly with no gcd. shift_term,
-the series and the triples read only the exact numerators.
+n a^2 / P_K^2 by int/int division rounds correctly with no gcd. shift_term
+and the triples read the series, and so the exact numerators.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -52,22 +58,42 @@ _BLOCK = 64
 # E, the bits after the point of shift_floats' fixed-point sum of m_K; read at
 # each call. At 256 no checkpoint of the walk to 1e10 needs the exact fallback.
 SHIFT_BITS = 256
-# _numerators' traced peak per unit of its largest cutoff K: 9.9 bytes at
-# K = 10^4 and 8.6 at 10^5 (the list of primes to K, the big sums at ~1.44 K
-# bits a numerator and ~2.88 K a square, and the sqrt(K) lead products).
+# _numerators' traced peak per unit of its largest cutoff K: 10.9 bytes at
+# K = 10^4 and 9.5 at 10^5 (the list of primes to K, the big sums at ~1.44 K
+# bits a numerator and ~2.88 K a square, and one product of forms per q).
 _SERIES_BYTES_PER_CUTOFF = 16
+# The forms _lead_forms gives at each quotient: the series' lead product and
+# one per triple numerator, eight.
+_FORMS = 9
+
+
+class _Reduction(NamedTuple):
+    """What a series carries to reduce its triples with no gcd of big
+    integers: the gcds of a, a_odd, b and b_odd with P_K, P_K, P_K^2 and
+    P_K^2; small, the product of the primes up to min(R, K); and, for each
+    triple numerator, the product of the primes in (R, K] that divide it.
+    Those numerators, in order, are b + a^2 and b - a^2, the same with the
+    odd sums, 2 (b + a^2) - (b_odd + a_odd^2) and 2 (b - a^2) - (b_odd - a_odd^2),
+    all over 2 P_K^2, then P_K^2 - 2 b + b_odd and 2 a^2 - a_odd^2 over P_K^2."""
+
+    gcds: tuple[int, int, int, int]
+    small: int
+    flagged: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class HarmonicMuSeries:
     """Exact partial sums at a cutoff: m = sum mu(i)/i, s2 = sum mu(i)/i^2,
-    plus the odd-index variants."""
+    plus the odd-index variants. harmonic_series and harmonic_series_many also
+    set _reduction, what the triples are reduced with; a series built by hand,
+    or by dataclasses.replace, has none."""
 
     cutoff: int
     m: Fraction
     m_odd: Fraction
     s2: Fraction
     s2_odd: Fraction
+    _reduction: _Reduction | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,32 +131,57 @@ def _checked_cutoffs(cutoffs: Iterable[int], mu_prefix: MoebiusTable) -> list[in
     return wanted
 
 
-def _lead_products(mus: list[int], scale: int) -> list[int]:
-    """A_q A_q^odd B_q B_q^odd at q = 0, 1, ..., len(mus) - 1, from mus[j] =
-    mu(j): A_q (A_q^odd) sums mu(j) scale / j over j <= q (odd j <= q), and
-    B_q (B_q^odd) sums mu(j) scale^2 / j^2. scale is a multiple of every
-    squarefree j read."""
+def _lead_forms(mus: list[int]) -> Iterator[tuple[int, ...]]:
+    """At q = 1, 2, ..., len(mus) - 1, from mus[j] = mu(j), the small values
+    that a prime p > R with K // p = q divides exactly when it divides the
+    matching numerator (see _numerators). A_q (A_q^odd) sums mu(j) P_q / j
+    over j <= q (odd j <= q), and B_q (B_q^odd) sums mu(j) P_q^2 / j^2, where
+    P_q is the product of the primes up to q: as in _numerators, the sums
+    take a factor j (j^2) as q reaches a prime j, the squarefree j > 1 that
+    P_{j-1} does not divide. The values are the lead product A A^odd B B^odd
+    for the series, then one per triple numerator, in the order of
+    _Reduction.flagged: A^2 - B and A^2 + B for b + a^2 and b - a^2, the same
+    with the odd sums, 2 (A^2 -/+ B) - (A_odd^2 -/+ B_odd) for the even
+    class's, 2 B - B_odd for P_K^2 - 2 b + b_odd and 2 A^2 - A_odd^2 for
+    2 a^2 - a_odd^2."""
+    scale = 1
     a = a_odd = b = b_odd = 0
-    out = [0]
     for j in range(1, len(mus)):
-        if mus[j]:
+        mu = mus[j]
+        if mu:
+            if scale % j:
+                scale *= j
+                a, a_odd, b, b_odd = a * j, a_odd * j, b * j * j, b_odd * j * j
             share = scale // j
-            term = mus[j] * share
+            term = mu * share
             a, b = a + term, b + term * share
             if j & 1:
                 a_odd, b_odd = a_odd + term, b_odd + term * share
-        out.append(a * a_odd * b * b_odd)
-    return out
+        square, square_odd = a * a, a_odd * a_odd
+        minus, plus = square - b, square + b
+        minus_odd, plus_odd = square_odd - b_odd, square_odd + b_odd
+        yield (
+            a * a_odd * b * b_odd,
+            minus,
+            plus,
+            minus_odd,
+            plus_odd,
+            2 * minus - minus_odd,
+            2 * plus - plus_odd,
+            2 * b - b_odd,
+            2 * square - square_odd,
+        )
 
 
 def _numerators(
     cutoffs: Iterable[int], mu_prefix: MoebiusTable
-) -> Iterator[tuple[int, tuple[tuple[int, int, int], ...]]]:
-    """At each requested cutoff K, ascending, as the pass reaches it: K and, for
-    m, m_odd, s2 and s2_odd in turn, (numerator, denominator, their gcd). The
-    sums of mu(i)/i over all i <= K and over odd i <= K are a/P_K and
-    a_odd/P_K, and those of mu(i)/i^2 are b/P_K^2 and b_odd/P_K^2, where P_K
-    is the product of the primes up to K. Nothing big is kept per cutoff.
+) -> Iterator[tuple[int, tuple[tuple[int, int, int], ...], _Reduction]]:
+    """At each requested cutoff K, ascending, as the pass reaches it: K; for
+    m, m_odd, s2 and s2_odd in turn, (numerator, denominator, their gcd); and
+    the _Reduction its triples read. The sums of mu(i)/i over all i <= K and
+    over odd i <= K are a/P_K and a_odd/P_K, and those of mu(i)/i^2 are
+    b/P_K^2 and b_odd/P_K^2, where P_K is the product of the primes up to K.
+    Nothing big is kept per cutoff.
 
     Each block of at most _BLOCK consecutive i, cut short at every cutoff, is
     summed over lb, the lcm of its squarefree members, and added once scaled by
@@ -143,15 +194,28 @@ def _numerators(
     p^2 where p^2 divides b. Let R = max(isqrt(max K), 2), so that 2, which
     divides no odd i, is never above it. For p > R, q = K // p is below p, and
     the i <= K that p divides are p j with j <= q, where mu(p j) = -mu(j). So
-    p divides a exactly when it divides A_q, the sum of mu(j) P_R / j over
-    j <= q (P_R, the product of the primes up to R, is prime to p), and b,
-    a_odd and b_odd when it divides B_q, A_q^odd and B_q^odd, formed alike.
-    The pass keeps the set of p > R that divide the lead product
-    A_q A_q^odd B_q B_q^odd, and retests a p only where K passes one of its
-    multiples, since only there does K // p move. Each gcd is then
-    gcd(n mod M, M) for M the product of the primes up to R and of that set
-    (their squares for b): ~120 and ~240 bits at K = 10^4, where P_K has
-    14,277 bits and P_K^2 28,554.
+    modulo p, a is a unit u times A_q, the sum of mu(j) P_q / j over j <= q
+    (P_q, the product of the primes up to q, is prime to p), and a_odd is u
+    times A_q^odd; modulo p^2, b and b_odd are -u^2 times B_q and B_q^odd,
+    formed alike with j^2 (_lead_forms). So p divides a, a_odd, b or b_odd
+    exactly when it divides A_q A_q^odd B_q B_q^odd, and each triple numerator
+    exactly when it divides the same form of the small sums: b + a^2 is
+    u^2 (A_q^2 - B_q) modulo p, the even class's p_minus
+    2 (b + a^2) - (b_odd + a_odd^2) is u^2 (2 (A_q^2 - B_q) - (A_q^odd^2 - B_q^odd)),
+    and so on (_lead_forms). One number per q serves every prime with that
+    quotient: the product of its nonzero forms. Where a form is 0 at q, as
+    A_q^2 - B_q is at q = 1 (every prime in (K/2, K] divides b + a^2), every
+    prime of that quotient divides it.
+
+    The pass keeps the primes p > R that divide a nonzero form at their
+    quotient (a few per pass), each with its q and those forms, and a prime is
+    retested only where K passes one of its multiples, since only there does
+    K // p move. For each q where some form is 0 it keeps the product of the
+    primes of that quotient, slid along as K grows. Each series gcd is then
+    gcd(n mod M, M) for M the product of the primes up to R and of the
+    flagged primes of the lead product (their squares for b): ~120 and ~240
+    bits at K = 10^4, where P_K has 14,277 bits and P_K^2 28,554. Each triple
+    numerator gets the product of the primes in (R, K] that divide it.
     """
     wanted = _checked_cutoffs(cutoffs, mu_prefix)
     if not wanted:
@@ -162,8 +226,16 @@ def _numerators(
     primes = _base_primes(top)
     r = max(isqrt(top), 2)
     small = primes[: bisect_right(primes, r)]
-    lead = _lead_products(values[: isqrt(top) + 1].tolist(), math.prod(small))
-    flagged: set[int] = set()
+    mus = values[: top // (r + 1) + 1].tolist()
+    tests = [0]  # q -> the product of the nonzero forms at q
+    zeros: dict[int, tuple[int, ...]] = {}  # q -> the forms that are 0 at q, where any are
+    for q, forms in enumerate(_lead_forms(mus), 1):
+        tests.append(math.prod(filter(None, forms)))
+        if not all(forms):
+            zeros[q] = tuple(j for j, v in enumerate(forms) if not v)
+    # p > R -> its q when tested, and the nonzero forms there that it divides
+    flags: dict[int, tuple[int, tuple[int, ...]]] = {}
+    windows: dict[int, tuple[int, int, int]] = {}  # q -> slice of primes, their product
     big = big2 = 1
     a = a_odd = b = b_odd = 0
     lo, passed, known = 1, 0, 0
@@ -197,20 +269,50 @@ def _numerators(
         for q in range(1, k // (r + 1) + 1):
             low, high = max(known // q, k // (q + 1), r), k // q
             if low < high:
+                test = tests[q]
                 for p in primes[bisect_right(primes, low) : bisect_right(primes, high)]:
-                    if lead[q] % p:
-                        flagged.discard(p)
-                    else:
-                        flagged.add(p)
+                    if not test % p:  # rare: find which forms it divides
+                        for forms in _lead_forms(mus[: q + 1]):
+                            pass
+                        flags[p] = q, tuple(j for j, v in enumerate(forms) if v and not v % p)
         known = k
-        part = math.prod(small[: bisect_right(small, k)]) * math.prod(flagged)
-        part2 = part * part
-        yield k, (
-            (a, big, math.gcd(a % part, part)),
-            (a_odd, big, math.gcd(a_odd % part, part)),
-            (b, big2, math.gcd(b % part2, part2)),
-            (b_odd, big2, math.gcd(b_odd % part2, part2)),
+        # per form, the product of the primes in (R, k] that divide it: the
+        # windows of the q where it is 0, each slid along with k, and the
+        # flagged primes whose quotient has not moved since
+        flagged = [1] * _FORMS
+        for q, zero in zeros.items():
+            start = bisect_right(primes, max(k // (q + 1), r))
+            stop = bisect_right(primes, k // q)
+            was_start, was_stop, window = windows.get(q, (0, 0, 1))
+            if start < was_stop:
+                window *= math.prod(primes[was_stop:stop])
+                window //= math.prod(primes[was_start:start])
+            else:
+                window = math.prod(primes[start:stop])
+            windows[q] = start, stop, window
+            for j in zero:
+                flagged[j] *= window
+        for p, (q, divided) in list(flags.items()):
+            if k // p == q:
+                for j in divided:
+                    flagged[j] *= p
+            else:
+                del flags[p]
+        part = math.prod(small[: bisect_right(small, k)])
+        lead_part = part * flagged[0]
+        lead_part2 = lead_part * lead_part
+        gcds = (
+            math.gcd(a % lead_part, lead_part),
+            math.gcd(a_odd % lead_part, lead_part),
+            math.gcd(b % lead_part2, lead_part2),
+            math.gcd(b_odd % lead_part2, lead_part2),
         )
+        yield k, (
+            (a, big, gcds[0]),
+            (a_odd, big, gcds[1]),
+            (b, big2, gcds[2]),
+            (b_odd, big2, gcds[3]),
+        ), _Reduction(gcds, part, tuple(flagged[1:]))
 
 
 def shift_floats(ns: Iterable[int], mu_prefix: MoebiusTable) -> dict[int, float]:
@@ -249,7 +351,7 @@ def shift_floats(ns: Iterable[int], mu_prefix: MoebiusTable) -> dict[int, float]
                 continue
         misses.append(n)
     if misses:
-        series = dict(_numerators({isqrt(n) for n in misses}, mu_prefix))
+        series = {k: parts for k, parts, _ in _numerators({isqrt(n) for n in misses}, mu_prefix)}
         for n in misses:
             a, big, _ = series[isqrt(n)][0]
             out[n] = n * a * a / (big * big)
@@ -260,10 +362,12 @@ def harmonic_series_many(
     cutoffs: Iterable[int], mu_prefix: MoebiusTable
 ) -> dict[int, HarmonicMuSeries]:
     """Series at every requested cutoff from one accumulation pass."""
-    return {
-        k: HarmonicMuSeries(k, *(_reduced(n // g, d // g) for n, d, g in parts))
-        for k, parts in _numerators(cutoffs, mu_prefix)
-    }
+    bank = {}
+    for k, parts, reduction in _numerators(cutoffs, mu_prefix):
+        series = HarmonicMuSeries(k, *(_reduced(n // g, d // g) for n, d, g in parts))
+        object.__setattr__(series, "_reduction", reduction)
+        bank[k] = series
+    return bank
 
 
 def _reduced(numerator: int, denominator: int) -> Fraction:
@@ -278,21 +382,6 @@ def _reduced(numerator: int, denominator: int) -> Fraction:
 def harmonic_series(cutoff: int, mu_prefix: MoebiusTable) -> HarmonicMuSeries:
     """Exact series at one cutoff."""
     return harmonic_series_many([cutoff], mu_prefix)[cutoff]
-
-
-def _of_class(
-    parity_class: ParityClass, whole: Fraction, odd: Fraction, power: int = 1
-) -> Fraction:
-    """A class's value from its all-index and odd-index sums, each raised to
-    `power`: the first, the second, or 2 * all - odd for the even class. Only
-    the sums a class reads are raised."""
-    if parity_class == "general":
-        return whole**power
-    if parity_class == "odd":
-        return odd**power
-    if parity_class == "even":
-        return 2 * whole**power - odd**power
-    raise ValueError(f"unknown parity class {parity_class!r}")
 
 
 def _check_n(n: int, parity_class: ParityClass) -> None:
@@ -318,13 +407,74 @@ def _series_for(
     return series
 
 
+# Where each class's p_minus and p_plus numerators sit in _Reduction.flagged;
+# the even p_zero's and gap's follow at 6 and 7.
+_CLASS_FLAGS = {"general": 0, "odd": 2, "even": 4}
+
+
+def _unreduced(series: HarmonicMuSeries) -> tuple[_Reduction, int, int, int, int, int]:
+    """The series' reduction data, then a, a_odd, b, b_odd and P_K, given back
+    from its reduced values and their gcds by small multiplications."""
+    reduction = series._reduction
+    if reduction is None:
+        raise ValueError(
+            "the series carries no reduction data: make it with harmonic_series "
+            "or harmonic_series_many"
+        )
+    g_a, g_a_odd, g_b, g_b_odd = reduction.gcds
+    return (
+        reduction,
+        series.m.numerator * g_a,
+        series.m_odd.numerator * g_a_odd,
+        series.s2.numerator * g_b,
+        series.s2_odd.numerator * g_b_odd,
+        series.m.denominator * g_a,
+    )
+
+
+def _lowest(numerator: int, over: int, big: int, flagged: int, small: int) -> Fraction:
+    """numerator / (over P_K^2) in lowest terms, for a triple numerator over
+    P_K^2 or 2 P_K^2 (over = 1 or 2), with big = P_K. flagged is the product
+    of the primes in (R, K] that divide the numerator, and small that of the
+    primes up to min(R, K). One exact division by flagged, a gcd within
+    flagged for the p^2 that divide, and one within over small^2; the
+    denominator over P_K^2 / flagged is formed as over P_K (P_K / flagged)."""
+    rest = numerator // flagged
+    part = over * small * small
+    g = math.gcd(rest % flagged, flagged) * math.gcd(numerator % part, part)
+    return _reduced(rest // g, over * big * (big // flagged) // g)
+
+
 def triple_from_series(
     series: HarmonicMuSeries, parity_class: ParityClass
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(p_minus, p_plus, p_zero) for a class, straight from partial sums."""
-    msq = _of_class(parity_class, series.m, series.m_odd, 2)
-    s2 = _of_class(parity_class, series.s2, series.s2_odd)
-    return ((s2 + msq) / 2, (s2 - msq) / 2, 1 - s2)
+    """(p_minus, p_plus, p_zero) for a class, from the series' numerators over
+    P_K. The general triple is (b + a^2, b - a^2) over 2 P_K^2 and 1 - s2, the
+    odd one the same with the odd sums, and the even one 2 * general - odd.
+    Each numerator over 2 P_K^2 is reduced by its flagged primes (_lowest);
+    1 - s2 needs no reduction, being prime to its denominator as s2 is."""
+    if parity_class not in _CLASS_FLAGS:
+        raise ValueError(f"unknown parity class {parity_class!r}")
+    reduction, a, a_odd, b, b_odd, big = _unreduced(series)
+    flagged, small = reduction.flagged, reduction.small
+    if parity_class == "even":
+        square, square_odd = a * a, a_odd * a_odd
+        minus = 2 * (b + square) - (b_odd + square_odd)
+        plus = 2 * (b - square) - (b_odd - square_odd)
+        zero = _lowest(big * big - 2 * b + b_odd, 1, big, flagged[6], small)
+    else:
+        s2 = series.s2
+        if parity_class == "odd":
+            a, b, s2 = a_odd, b_odd, series.s2_odd
+        square = a * a
+        minus, plus = b + square, b - square
+        zero = _reduced(s2.denominator - s2.numerator, s2.denominator)
+    first = _CLASS_FLAGS[parity_class]
+    return (
+        _lowest(minus, 2, big, flagged[first], small),
+        _lowest(plus, 2, big, flagged[first + 1], small),
+        zero,
+    )
 
 
 def _triple(
@@ -373,7 +523,14 @@ def delta_prob(
     even gap can be negative at small cutoffs.
     """
     series = _series_for(n, parity_class, mu_prefix, series)
-    return _of_class(parity_class, series.m, series.m_odd, 2)
+    if parity_class == "general":
+        return series.m**2
+    if parity_class == "odd":
+        return series.m_odd**2
+    if parity_class == "even":
+        reduction, a, a_odd, _, _, big = _unreduced(series)
+        return _lowest(2 * a * a - a_odd * a_odd, 1, big, reduction.flagged[7], reduction.small)
+    raise ValueError(f"unknown parity class {parity_class!r}")
 
 
 def interval_of(n: int, mu_prefix: MoebiusTable) -> IntervalBracket:

@@ -124,7 +124,7 @@ def _base_primes(bound: int) -> list[int]:
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return [int(p) for p in np.nonzero(flags)[0]]
+    return np.flatnonzero(flags).tolist()
 
 
 def _omega_max(limit: int) -> int:

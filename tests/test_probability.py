@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -31,6 +32,12 @@ from mobiuslab.probability import (
 from mobiuslab.stochastic import _RECURSION_BYTES_PER_ROOT, checkpoint_grid
 
 F = Fraction
+CLASSES = ("general", "odd", "even")
+
+
+def numerators_at(cutoffs, table):
+    """{K: the four (numerator, denominator, gcd) of _numerators at K}."""
+    return {k: parts for k, parts, _ in _numerators(cutoffs, table)}
 
 
 def reference_numerators(cutoffs, table):
@@ -60,7 +67,7 @@ def assert_numerators_match_reference(cutoffs, table):
     """Both sides name the same four rationals at every cutoff, checked by
     cross-multiplying: a/P_K, a_odd/P_K, b/P_K^2 and b_odd/P_K^2 against the
     reference over lcm(1..K) and its square."""
-    got = dict(_numerators(cutoffs, table))
+    got = numerators_at(cutoffs, table)
     lcm, want = reference_numerators(cutoffs, table)
     assert sorted(got) == sorted(want)
     for k, sums in want.items():
@@ -76,7 +83,7 @@ def assert_reduced_like_fraction(cutoffs, table):
     gcd-normalized Fraction(n, d), the oracle of the reduction."""
     bank = harmonic_series_many(cutoffs, table)
     seen = set()
-    for k, parts in _numerators(cutoffs, table):
+    for k, parts in numerators_at(cutoffs, table).items():
         series = bank[k]
         values = (series.m, series.m_odd, series.s2, series.s2_odd)
         for value, (n, d, g) in zip(values, parts):
@@ -85,6 +92,58 @@ def assert_reduced_like_fraction(cutoffs, table):
             assert (value.numerator, value.denominator) == (want.numerator, want.denominator), k
         seen.add(k)
     assert seen == set(cutoffs)
+
+
+def reference_triple(series, cls):
+    """The oracle of the triple reduction: p_minus, p_plus, p_zero and the gap
+    by Fraction arithmetic, each normalized by its gcd. A class's value comes
+    from the all-index and odd-index sums: the first, the second, or
+    2 * all - odd for the even class."""
+
+    def of_class(whole, odd, power=1):
+        if cls == "general":
+            return whole**power
+        if cls == "odd":
+            return odd**power
+        return 2 * whole**power - odd**power
+
+    msq = of_class(series.m, series.m_odd, 2)
+    s2 = of_class(series.s2, series.s2_odd)
+    return (s2 + msq) / 2, (s2 - msq) / 2, 1 - s2, msq
+
+
+def n_at(cutoff, cls):
+    """The least n >= 2 of the class with floor(sqrt(n)) = cutoff."""
+    return next(
+        n
+        for n in range(max(cutoff * cutoff, 2), cutoff * cutoff + 3)
+        if cls == "general" or (n % 2 == 1) == (cls == "odd")
+    )
+
+
+def triple_terms(series, table):
+    """Every class's p_minus, p_plus, p_zero and gap, as (numerator,
+    denominator) pairs, from the series through the functions under test."""
+    out = []
+    for cls in CLASSES:
+        gap = delta_prob(n_at(series.cutoff, cls), cls, table, series=series)
+        out += [(v.numerator, v.denominator) for v in (*triple_from_series(series, cls), gap)]
+    return out
+
+
+def assert_triples_like_fraction(cutoffs, table, singles=False):
+    """At every cutoff of one bank, each class's p_minus, p_plus, p_zero and
+    gap have the numerator and denominator of the Fraction oracle; with
+    singles, the series of each cutoff alone gives the same pairs."""
+    bank = harmonic_series_many(cutoffs, table)
+    assert sorted(bank) == sorted(set(cutoffs))
+    for k, series in bank.items():
+        oracle = [v for cls in CLASSES for v in reference_triple(series, cls)]
+        want = [(v.numerator, v.denominator) for v in oracle]
+        got = triple_terms(series, table)
+        assert got == want, k
+        if singles:
+            assert triple_terms(harmonic_series(k, table), table) == got, k
 
 
 def primes_to(bound):
@@ -134,7 +193,7 @@ class TestBlockAccumulator:
 
     def test_denominator_is_lcm_of_squarefree(self, table_10k):
         # P_K, the lcm of the squarefree i <= K, at every K to 2000 from one pass
-        got = dict(_numerators(range(1, 2001), table_10k))
+        got = numerators_at(range(1, 2001), table_10k)
         lcm = 1
         for k in range(1, 2001):
             lcm = math.lcm(lcm, k) if table_10k.values[k] else lcm
@@ -178,6 +237,51 @@ class TestBlockAccumulator:
         monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 10**4)
         with pytest.raises(ResourceLimitError, match="the exact series to cutoff 1000"):
             harmonic_series(1000, table_10k)
+
+
+class TestTripleReduction:
+    def test_every_cutoff_to_3000(self, table_10k):
+        assert_triples_like_fraction(range(1, 3001), table_10k, singles=True)
+
+    def test_cutoffs_where_the_primorial_grows(self, table_10k):
+        around = sorted({p + d for p in primes_to(1000) for d in (-1, 0, 1)} - {0})
+        assert_triples_like_fraction(around, table_10k, singles=True)
+
+    def test_criterion_4_bank(self, table_100k):
+        rng = random.Random(20260809)
+        cutoffs = {isqrt(rng.randrange(2, 10**8 + 1)) for _ in range(1000)}
+        assert len(cutoffs) == 927
+        assert_triples_like_fraction(cutoffs, table_100k)
+
+    def test_hand_built_series_has_no_reduction(self, table_10k):
+        bank = harmonic_series_many([3, 50, 1000], table_10k)
+        for k, built in bank.items():
+            hand = HarmonicMuSeries(k, built.m, built.m_odd, built.s2, built.s2_odd)
+            # the reduction data takes no part in equality, hashing or repr
+            assert hand == built and hash(hand) == hash(built) and repr(hand) == repr(built)
+            for series in (hand, dataclasses.replace(built, m=built.m)):
+                for cls in CLASSES:
+                    with pytest.raises(ValueError, match="harmonic_series"):
+                        triple_from_series(series, cls)
+                for fn, cls in (
+                    (prob_triple_general, "general"),
+                    (prob_triple_odd, "odd"),
+                    (prob_triple_even, "even"),
+                ):
+                    with pytest.raises(ValueError, match="harmonic_series"):
+                        fn(n_at(k, cls), table_10k, series=series)
+                with pytest.raises(ValueError, match="harmonic_series"):
+                    delta_prob(n_at(k, "even"), "even", table_10k, series=series)
+                # the general and odd gaps read only the reduced m
+                for cls in ("general", "odd"):
+                    n = n_at(k, cls)
+                    assert delta_prob(n, cls, table_10k, series=series) == delta_prob(
+                        n, cls, table_10k, series=built
+                    )
+
+    def test_unknown_class(self, table_10k):
+        with pytest.raises(ValueError, match="unknown parity class"):
+            triple_from_series(harmonic_series(5, table_10k), "???")
 
 
 class TestHarmonicSeries:
@@ -244,7 +348,7 @@ def counting_fallback(monkeypatch):
 def exact_floats(ns, table):
     """n a^2 / P_K^2 by int/int division from the exact numerator a of
     m_K = a/P_K: the fallback's path."""
-    numerators = dict(_numerators({isqrt(n) for n in ns}, table))
+    numerators = numerators_at({isqrt(n) for n in ns}, table)
     out = {}
     for n in ns:
         a, big, _ = numerators[isqrt(n)][0]

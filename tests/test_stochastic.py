@@ -471,7 +471,7 @@ class TestMertensWalk:
         # and the exact ratios behind them, also below the grid and at cutoff edges:
         # shift_term, and the int/int division n a^2 / P_K^2 of the fallback
         ns = [*shifts, 1, 3, 4, 8, 9, 999_999]
-        numerators = dict(_numerators({math.isqrt(n) for n in ns}, table))
+        numerators = {k: parts for k, parts, _ in _numerators({math.isqrt(n) for n in ns}, table)}
         for n in ns:
             exact = n * harmonic_series(math.isqrt(n), table).m ** 2
             a, big, _ = numerators[math.isqrt(n)][0]

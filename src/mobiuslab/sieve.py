@@ -5,14 +5,21 @@ and it sieves only the odd n: slot j of a segment holds n = lo + 2j, with
 lo odd, so a segment of 2^20 slots spans 2^21 numbers. Each slot holds
 one uint8 accumulator, and each odd base prime makes one strided add of
 2 L(p) + 1 to its multiples, where L(p) = round(2 log2 p); in slot terms
-the multiples of p start at j = -lo (p + 1)/2 mod p, since (p + 1)/2 is
-the inverse of 2 mod p. The low bit of the accumulator is then the number
-of base primes dividing n, mod 2, and acc >> 1 is S(n), the sum of L(p)
-over them. mu is formed in place in the accumulator's bytes, so the
-scratch is 2 bytes per odd slot (the accumulator and the leftover mask),
-and odd multiples of p^2 are zeroed last. Every even entry then comes
-from the odd half in one strided pass: mu(2m) = -mu(m) for odd m, and
-mu(4m) = 0. Output is exact and independent of the segment size.
+the multiples of p start at j = t/2 for even t and (t + p)/2 for odd t,
+where t = -lo mod p, so a segment's starts are one numpy step over the
+primes, with no product that can overflow int64. The low bit of the
+accumulator is then the number of base primes dividing n, mod 2, and
+acc >> 1 is S(n), the sum of L(p) over them. mu is formed in place in the
+accumulator's bytes, so the scratch is 2 bytes per odd slot (the
+accumulator and the leftover mask), and odd multiples of p^2 are zeroed
+last: strided stores while p^2 is shorter than the segment, then one
+indexed store for the longer squares, each with at most one multiple in
+it. SIEVE_WORKERS segments are sieved at once, each on its own thread
+with its own row of scratch, into disjoint slots of the table; the numpy
+steps release the interpreter lock, so the threads overlap. Every even
+entry then comes from the odd half in one strided pass: mu(2m) = -mu(m)
+for odd m, and mu(4m) = 0. Output is exact and independent of the
+segment size and the number of threads.
 
 The leftover test. Let R(n) be the product of the base primes dividing a
 squarefree n <= limit. Any other prime factor q is above B >= isqrt(limit),
@@ -55,6 +62,8 @@ import numpy as np
 
 # Odd slots per segment; a segment spans twice as many numbers.
 DEFAULT_SEGMENT_SIZE = 1 << 20
+# Segments sieved at once, each on its own thread with its own scratch.
+SIEVE_WORKERS = 2
 # Caps every large allocation of the package, each checked by _charge first.
 DEFAULT_MEMORY_BUDGET = 2 << 30
 # The uint8 accumulator (mu is formed in its bytes) and the bool leftover mask.
@@ -164,59 +173,104 @@ def _weights(primes: list[int]) -> list[int]:
     return [2 * ((p**4).bit_length() // 2) + 1 for p in primes]
 
 
+def _odd_starts(lo: int, moduli: np.ndarray) -> np.ndarray:
+    """For odd lo and each odd m of moduli (int64), the least slot j >= 0
+    with m | lo + 2j: j = t/2 for even t and (t + m)/2 for odd t, where
+    t = -lo mod m. No intermediate exceeds 2m."""
+    t = np.remainder(-lo, moduli)
+    t += (t & 1) * moduli
+    t >>= 1
+    return t
+
+
 def _fill_segment(
-    lo: int, hi: int, primes: list[int], weights: list[int], omega: int
+    lo: int,
+    hi: int,
+    primes: np.ndarray,
+    squares: np.ndarray,
+    weights: np.ndarray,
+    omega: int,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """mu of the odd n in [lo, hi), lo odd, as int8; slot j holds n = lo + 2j.
 
-    primes are the odd base primes up to isqrt(hi - 1) or beyond, and
-    weights[i] is 2 L(primes[i]) + 1.
+    primes are the odd base primes up to isqrt(hi - 1) or beyond, as int64,
+    squares their squares, and weights[i] is 2 L(primes[i]) + 1 as uint8.
+    scratch is uint8 of shape (2, >= the slot count); the result is a view
+    of its first row, valid until the next call with the same scratch.
     """
     length = (hi - lo + 1) >> 1
-    acc = np.zeros(length, dtype=np.uint8)
-    for p, w in zip(primes, weights):
-        # p | lo + 2j exactly when j = -lo / 2 (mod p), and 1/2 = (p + 1) / 2 mod p
-        start = (-lo * ((p + 1) >> 1)) % p
-        if start < length:
-            acc[start::p] += w
-    leftover = np.empty(length, dtype=bool)
+    acc = scratch[0, :length]
+    acc.fill(0)
+    for s, p, w in zip(_odd_starts(lo, primes).tolist(), primes.tolist(), weights):
+        if s < length:
+            v = acc[s::p]
+            np.add(v, w, out=v)
+    leftover = scratch[1, :length]
     for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
         a, b = (max(lo, 1 << k) - lo + 1) >> 1, (min(hi, 2 << k) - lo + 1) >> 1
         # acc >> 1 < 2k - omega/2, on integers: acc < 2 ceil(2k - omega/2)
-        np.less(acc[a:b], max(4 * k - 2 * (omega // 2), 0), out=leftover[a:b])
+        np.less(acc[a:b], max(4 * k - 2 * (omega // 2), 0), out=leftover[a:b].view(bool))
     acc &= 1
     acc ^= leftover
     mu = acc.view(np.int8)
     mu *= -2
     mu += 1
-    for p in primes:
-        p2 = p * p
-        if p2 >= hi:
-            break
-        mu[(-lo * ((p2 + 1) >> 1)) % p2 :: p2] = 0
+    short = int(np.searchsorted(squares, length))
+    for s, p2 in zip(_odd_starts(lo, squares[:short]).tolist(), squares[:short].tolist()):
+        mu[s::p2] = 0
+    # a square of at least the segment's length has at most one odd multiple in it
+    longer = _odd_starts(lo, squares[short : int(np.searchsorted(squares, hi))])
+    mu[longer[longer < length]] = 0
     return mu
 
 
 def sieve_moebius(limit: int) -> MoebiusTable:
     """Exact mu(1..limit) by segmented sieving.
 
-    Deterministic and independent of DEFAULT_SEGMENT_SIZE, read at each
-    call: the number of odd n a segment holds. The table plus one segment's
-    scratch is charged to the memory budget; ResourceLimitError when over.
+    Deterministic and independent of DEFAULT_SEGMENT_SIZE, the number of
+    odd n a segment holds, and of SIEVE_WORKERS, the segments sieved at
+    once; both are read at each call. The table plus the scratch of each
+    segment in flight is charged to the memory budget; ResourceLimitError
+    when over. A worker's exception is raised here.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     seg = min(DEFAULT_SEGMENT_SIZE, (limit + 1) // 2)
-    _charge((limit + 1) + _SCRATCH_BYTES_PER_SLOT * seg, f"sieve of limit {limit}")
+    los = range(1, limit + 1, 2 * seg)
+    workers = min(SIEVE_WORKERS, len(los))
+    _charge((limit + 1) + _SCRATCH_BYTES_PER_SLOT * seg * workers, f"sieve of limit {limit}")
     bound = max(isqrt(limit), _PRIME_FLOOR)
     omega = _omega_max(limit)
     _check_margins(limit, bound, omega)
-    primes = _base_primes(bound)[1:]  # the odd ones: 2 divides no slot
-    weights = _weights(primes)
+    primes = np.array(_base_primes(bound)[1:], dtype=np.int64)  # the odd ones: 2 divides no slot
+    squares = primes * primes
+    weights = np.array(_weights(primes.tolist()), dtype=np.uint8)
     values = np.zeros(limit + 1, dtype=np.int8)
-    for lo in range(1, limit + 1, 2 * seg):
-        hi = min(lo + 2 * seg, limit + 1)
-        values[lo:hi:2] = _fill_segment(lo, hi, primes, weights, omega)
+    scratch = np.empty((workers, _SCRATCH_BYTES_PER_SLOT, seg), dtype=np.uint8)
+    failures: list[BaseException] = []
+
+    def fill(worker: int) -> None:
+        # segments worker, worker + workers, ...: slots no other worker writes
+        try:
+            for lo in los[worker::workers]:
+                hi = min(lo + 2 * seg, limit + 1)
+                mu = _fill_segment(lo, hi, primes, squares, weights, omega, scratch[worker])
+                values[lo:hi:2] = mu
+        except BaseException as exc:  # raised again in the caller, below
+            failures.append(exc)
+
+    # The caller is worker 0. A helper thread's exception is kept and raised
+    # here; left to the thread, it would be printed and the table returned
+    # half filled.
+    helpers = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    fill(0)
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[0]
     # mu(2m) = -mu(m) for odd m; values[4::4] keep their zeros
     evens = values[2::4]
     np.negative(values[1::2][: evens.size], out=evens)

@@ -77,6 +77,33 @@ class TestSieveCommand:
         assert code == 2
         assert err
 
+    def test_failed_segment_exits_nonzero_and_writes_no_table(self, tmp_path):
+        # a segment on the second sieve thread raises; no half-filled table is cached
+        script = (
+            "import sys\n"
+            "from mobiuslab import sieve\n"
+            "real = sieve._fill_segment\n"
+            "def failing(lo, *args):\n"
+            "    if lo == 1 + 3 * 2 * 1024:\n"
+            "        raise RuntimeError('segment failed')\n"
+            "    return real(lo, *args)\n"
+            "sieve._fill_segment = failing\n"
+            "sieve.DEFAULT_SEGMENT_SIZE = 1024\n"
+            "from mobiuslab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "sieve", "--limit", "100000",
+             "--cache-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "RuntimeError: segment failed" in proc.stderr
+        assert "Exception in thread" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyIdentityCommand:
     def test_passes_at_small_scale(self, capsys, tmp_path):

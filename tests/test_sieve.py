@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from math import isqrt
 
@@ -79,6 +81,20 @@ def reference_sieve(limit, segment_size=DEFAULT_SEGMENT_SIZE):
         hi = min(lo + segment_size, limit + 1)
         values[lo:hi] = reference_fill_segment(lo, hi, primes)
     return values
+
+
+def kernel_window(lo, hi):
+    """The log-sum kernel on one window [lo, hi), lo odd, with no table of
+    [1, lo): its mu of the odd n, and the base primes it used."""
+    bound = isqrt(hi - 1)
+    omega = sieve_module._omega_max(hi)
+    sieve_module._check_margins(hi, bound, omega)
+    primes = sieve_module._base_primes(bound)
+    odd = np.array(primes[1:], dtype=np.int64)
+    weights = np.array(sieve_module._weights(primes[1:]), dtype=np.uint8)
+    scratch = np.empty((2, (hi - lo + 1) >> 1), dtype=np.uint8)
+    got = sieve_module._fill_segment(lo, hi, odd, odd * odd, weights, omega, scratch)
+    return got, primes
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +187,66 @@ class TestSieve:
 
     def test_segment_size_read_at_each_call(self, monkeypatch):
         # the table's 1001 bytes plus 2 bytes of scratch for each of 7 odd slots
+        # of each of the 2 segments in flight
         monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 1000)
         monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 7)
-        with pytest.raises(ResourceLimitError, match="needs ~1015 bytes"):
+        with pytest.raises(ResourceLimitError, match="needs ~1029 bytes"):
             sieve_moebius(1000)
+
+    def test_peak_within_its_charge(self, monkeypatch):
+        # 8 segments of 2^16 odd slots, 2 in flight, each worker on its own scratch row
+        charged = []
+        monkeypatch.setattr(sieve_module, "_charge", lambda needed, what: charged.append(needed))
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 1 << 16)
+        tracemalloc.start()
+        try:
+            table = sieve_moebius(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged == [10**6 + 1 + 2 * 2 * (1 << 16)]
+        # and small objects: the base primes, each thread's Python lists of its
+        # segment's primes and starts, and the helper thread (~26 KB in all)
+        assert peak <= charged[0] + 32 * 1024
+        assert int(table.values[1:].sum()) == 212
+
+    def test_a_workers_exception_reaches_the_caller(self, monkeypatch):
+        # segment 3 runs on the helper thread, after its first segment. An
+        # exception left to the thread goes to threading.excepthook, which
+        # prints "Exception in thread ..." and returns
+        real = sieve_module._fill_segment
+
+        def failing(lo, *args):
+            if lo == 1 + 3 * 2 * 1024:
+                raise RuntimeError(f"segment at {lo} failed")
+            return real(lo, *args)
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        monkeypatch.setattr(sieve_module, "_fill_segment", failing)
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 1024)
+        with pytest.raises(RuntimeError, match="segment at 6145 failed"):
+            sieve_moebius(10**5)
+        assert unhandled == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_thread_count_never_changes_a_byte(
+        self, monkeypatch, reference_3000, reference_edges, reference_10m, workers
+    ):
+        # 3 threads on 2 cores, switched often, must not lose or mix a segment
+        monkeypatch.setattr(sieve_module, "SIEVE_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert np.array_equal(sieve_moebius(10**7).values, reference_10m)
+            for segment_size in (EDGE_SEGMENT_SIZES[0], EDGE_SEGMENT_SIZES[-1]):
+                monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", segment_size)
+                got = sieve_moebius(EDGE_LIMIT).values
+                assert np.array_equal(got, reference_edges), segment_size
+            monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 7)
+            assert np.array_equal(sieve_moebius(1000).values, reference_3000[:1001])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLogSumKernel:
@@ -207,16 +279,24 @@ class TestLogSumKernel:
         # one window of 2^12 odd slots, with no table of [1, lo)
         lo = near + 1
         hi = lo + 2 * 4096
-        bound = isqrt(hi - 1)
-        omega = sieve_module._omega_max(hi)
-        sieve_module._check_margins(hi, bound, omega)
-        primes = sieve_module._base_primes(bound)
-        odd = primes[1:]
-        got = sieve_module._fill_segment(lo, hi, odd, sieve_module._weights(odd), omega)
+        got, primes = kernel_window(lo, hi)
         assert got.dtype == np.int8 and got.shape == (4096,)
         assert np.array_equal(got, reference_fill_segment(lo, hi, primes)[::2])
         rand = random.Random(near)
         for j in rand.sample(range(4096), 64):
+            assert int(got[j]) == moebius_at(lo + 2 * j), lo + 2 * j
+
+    def test_square_start_near_1e12_does_not_overflow(self):
+        # p^2 = lo + 20 is slot 10. The product form -lo (p^2 + 1)/2 mod p^2 of
+        # the start overflows int64 in numpy here and puts it at 408610568457
+        p = 1000003
+        lo = p * p - 20
+        hi = lo + 2 * 4096
+        got, primes = kernel_window(lo, hi)
+        assert got[10] == 0
+        assert np.array_equal(got, reference_fill_segment(lo, hi, primes)[::2])
+        rand = random.Random(p)
+        for j in [10, *rand.sample(range(4096), 64)]:
             assert int(got[j]) == moebius_at(lo + 2 * j), lo + 2 * j
 
     def test_matches_reference_with_segments_below_the_prime_bound(self, monkeypatch):
@@ -235,8 +315,9 @@ class TestLogSumKernel:
         assert [sieve_module._omega_max(n) for n in range(1, limit + 1)] == most[1:].tolist()
 
     def test_margins_hold_up_to_the_budget(self):
-        # the largest limit the default budget admits, and the first it refuses
-        top = DEFAULT_MEMORY_BUDGET - 1 - 2 * DEFAULT_SEGMENT_SIZE
+        # the largest limit the default budget admits, and the first it refuses:
+        # the table and 2 bytes per odd slot of each of the 2 segments in flight
+        top = DEFAULT_MEMORY_BUDGET - 1 - 2 * 2 * DEFAULT_SEGMENT_SIZE
         with pytest.raises(ResourceLimitError):
             sieve_moebius(top + 1)
         for limit in [1 << j for j in range(top.bit_length())] + [top]:

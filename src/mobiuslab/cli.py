@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
@@ -190,8 +191,25 @@ def _fraction_json(f: Fraction) -> dict:
 
 def cmd_sieve(args: argparse.Namespace) -> int:
     table = sieve_moebius(args.limit)
-    path = _save_cached(table, args.cache_dir)
-    minus, plus, _ = span_counts([1, args.limit + 1], "all", table)[0].tolist()
+    # The cache file is written and flushed on a thread while the caller
+    # counts; its exception is kept and raised here, after the join.
+    saved: list = []
+
+    def save() -> None:
+        try:
+            saved.append(_save_cached(table, args.cache_dir))
+        except BaseException as exc:  # raised again in the caller, below
+            saved.append(exc)
+
+    thread = threading.Thread(target=save)
+    thread.start()
+    try:
+        minus, plus, _ = span_counts([1, args.limit + 1], "all", table)[0].tolist()
+    finally:
+        thread.join()
+    path = saved[0]
+    if isinstance(path, BaseException):
+        raise path
     squarefree, m_limit = minus + plus, plus - minus
     print(f"limit={args.limit} squarefree={squarefree} M({args.limit})={m_limit} cache={path}")
     return 0

@@ -1,32 +1,37 @@
 """Moebius and Mertens tables over large ranges.
 
 The sieve is segmented, with base primes p <= B = max(isqrt(limit), 64),
-and it sieves only the odd n: slot j of a segment holds n = lo + 2j, with
-lo odd, so a segment of 2^20 slots spans 2^21 numbers. Each slot holds
-one uint8 accumulator, and each odd base prime makes one strided add of
-2 L(p) + 1 to its multiples, where L(p) = round(2 log2 p); in slot terms
-the multiples of p start at j = t/2 for even t and (t + p)/2 for odd t,
-where t = -lo mod p, so a segment's starts are one numpy step over the
-primes, with no product that can overflow int64. The low bit of the
-accumulator is then the number of base primes dividing n, mod 2, and
-acc >> 1 is S(n), the sum of L(p) over them. mu is formed in place in the
-accumulator's bytes, so the scratch is 2 bytes per odd slot (the
-accumulator and the leftover mask), and odd multiples of p^2 are zeroed
-last: strided stores while p^2 is shorter than the segment, then one
-indexed store for the longer squares, each with at most one multiple in
-it. SIEVE_WORKERS segments are sieved at once, each on its own thread
-with its own row of scratch, into disjoint slots of the table; the numpy
-steps release the interpreter lock, so the threads overlap. Every even
-entry then comes from the odd half in one strided pass: mu(2m) = -mu(m)
-for odd m, and mu(4m) = 0. Output is exact and independent of the
-segment size and the number of threads.
+and it sieves only the n coprime to 6, in two classes, n = 1 and
+n = 5 (mod 6): slot j of a class window holds n = lo + 6j, with lo
+coprime to 6, so a window of 2^20 slots spans 6 * 2^20 numbers. Each slot
+holds one uint8 accumulator, and each base prime p >= 5 makes one strided
+add of 2 L(p) + 1 to its multiples, where L(p) = round(2 log2 p). In slot
+terms the multiples of p start at j = (t + c p)/6, where t = -lo mod p and
+c = ((-t) mod 6)(p mod 6) mod 6 (p mod 6 is its own inverse mod 6), so a
+window's starts are one numpy step over the primes, with every
+intermediate below 6p and no product that can overflow int64. The low bit
+of the accumulator is then the number of base primes dividing n, mod 2,
+and acc >> 1 is S(n), the sum of L(p) over them. mu is formed in place in
+the accumulator's bytes, so the scratch is 2 bytes per slot (the
+accumulator and the leftover mask), and the class members that are
+multiples of p^2 are zeroed last: strided stores while p^2 is shorter
+than the window, then one indexed store for the longer squares, each with
+at most one multiple in it. SIEVE_WORKERS (window, class) jobs run at
+once, each on its own thread with its own row of scratch, into disjoint
+slots of the table; the numpy steps release the interpreter lock, so the
+threads overlap. The other entries then come from these in two strided
+passes, each split across the same threads by ranges of n: first the odd
+multiples of 3, from mu(3m) = -mu(m) for m coprime to 6 (and
+mu(9m) = 0), then the evens, from mu(2m) = -mu(m) for odd m (and
+mu(4m) = 0). Output is exact and independent of the window size and the
+number of threads.
 
 The leftover test. Let R(n) be the product of the base primes dividing a
 squarefree n <= limit. Any other prime factor q is above B >= isqrt(limit),
 so there is at most one: n = R(n) or n = R(n) q. Each L(p) is within 1/2
 of 2 log2 p, so S(n) is within omega/2 of 2 log2 R(n), where omega is the
-most distinct primes of any n <= limit (from the primorials). On the odd
-n of the piece 2^k <= n < 2^(k+1) of a segment:
+most distinct primes of any n <= limit (from the primorials). On the
+class members n of the piece 2^k <= n < 2^(k+1) of a window:
 
 - with no leftover prime, R(n) = n >= 2^k, so S(n) >= 2k - omega/2;
 - with a leftover q >= B + 1, R(n) < 2^(k+1) / (B + 1), so
@@ -48,7 +53,6 @@ truncated file raises CorruptCacheError. load_table(path, limit) reads
 and validates only the prefix 1..limit, so damage past it is reported by
 the first call that reads it.
 """
-
 from __future__ import annotations
 
 import os
@@ -60,9 +64,9 @@ from pathlib import Path
 
 import numpy as np
 
-# Odd slots per segment; a segment spans twice as many numbers.
+# Slots per class window; a window spans six times as many numbers.
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# Segments sieved at once, each on its own thread with its own scratch.
+# (window, class) jobs run at once, each on its own thread with its own scratch.
 SIEVE_WORKERS = 2
 # Caps every large allocation of the package, each checked by _charge first.
 DEFAULT_MEMORY_BUDGET = 2 << 30
@@ -173,42 +177,64 @@ def _weights(primes: list[int]) -> list[int]:
     return [2 * ((p**4).bit_length() // 2) + 1 for p in primes]
 
 
-def _odd_starts(lo: int, moduli: np.ndarray) -> np.ndarray:
-    """For odd lo and each odd m of moduli (int64), the least slot j >= 0
-    with m | lo + 2j: j = t/2 for even t and (t + m)/2 for odd t, where
-    t = -lo mod m. No intermediate exceeds 2m."""
+def _wheel_primes(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base primes from 5 up to bound (2 and 3 divide no class member)
+    and their squares, as the two rows of an int64 array, and their weights
+    2 L(p) + 1 as uint8."""
+    primes = _base_primes(bound)[2:]
+    moduli = np.array([primes, [p * p for p in primes]], dtype=np.int64)
+    return moduli, np.array(_weights(primes), dtype=np.uint8)
+
+
+def _class_starts(lo: int, moduli: np.ndarray) -> np.ndarray:
+    """For lo coprime to 6 and each m of moduli (int64, coprime to 6), the
+    least slot j >= 0 with m | lo + 6j: j = (t + c m)/6, where t = -lo mod m
+    and c = ((-t) mod 6)(m mod 6) mod 6 makes t + c m a multiple of 6 (m mod 6
+    is its own inverse mod 6). No intermediate reaches 6m."""
     t = np.remainder(-lo, moduli)
-    t += (t & 1) * moduli
-    t >>= 1
+    c = np.negative(t)
+    c %= 6
+    c *= moduli  # at most 5m; mod 6 it is ((-t) mod 6)(m mod 6)
+    c %= 6
+    c *= moduli
+    t += c
+    t //= 6
     return t
 
 
 def _fill_segment(
     lo: int,
     hi: int,
-    primes: np.ndarray,
-    squares: np.ndarray,
+    moduli: np.ndarray,
     weights: np.ndarray,
     omega: int,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """mu of the odd n in [lo, hi), lo odd, as int8; slot j holds n = lo + 2j.
+    """mu of the n = lo (mod 6) in [lo, hi), lo coprime to 6, as int8; slot j
+    holds n = lo + 6j.
 
-    primes are the odd base primes up to isqrt(hi - 1) or beyond, as int64,
-    squares their squares, and weights[i] is 2 L(primes[i]) + 1 as uint8.
-    scratch is uint8 of shape (2, >= the slot count); the result is a view
-    of its first row, valid until the next call with the same scratch.
+    moduli is int64 of shape (2, P): the base primes from 5 up to
+    isqrt(hi - 1) or beyond, and their squares; weights[i] is
+    2 L(moduli[0, i]) + 1 as uint8. scratch is uint8 of shape (2, >= the slot
+    count); the result is a view of its first row, valid until the next call
+    with the same scratch.
     """
-    length = (hi - lo + 1) >> 1
+    length = (hi - lo + 5) // 6
+    primes, squares = moduli
+    starts, square_starts = _class_starts(lo, moduli)  # one step for both rows
     acc = scratch[0, :length]
     acc.fill(0)
-    for s, p, w in zip(_odd_starts(lo, primes).tolist(), primes.tolist(), weights):
+    # the primes row itself, not a list of it per window: less memory per thread
+    for s, p, w in zip(starts.tolist(), primes, weights):
         if s < length:
             v = acc[s::p]
             np.add(v, w, out=v)
     leftover = scratch[1, :length]
-    for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
-        a, b = (max(lo, 1 << k) - lo + 1) >> 1, (min(hi, 2 << k) - lo + 1) >> 1
+    # a leftover prime is above every base prime, so no n up to the last has one
+    first = max(lo, int(primes[-1]) + 1) if primes.size else lo
+    leftover[: (first - lo + 5) // 6] = 0
+    for k in range(first.bit_length() - 1, (hi - 1).bit_length()):
+        a, b = (max(first, 1 << k) - lo + 5) // 6, (min(hi, 2 << k) - lo + 5) // 6
         # acc >> 1 < 2k - omega/2, on integers: acc < 2 ceil(2k - omega/2)
         np.less(acc[a:b], max(4 * k - 2 * (omega // 2), 0), out=leftover[a:b].view(bool))
     acc &= 1
@@ -217,63 +243,88 @@ def _fill_segment(
     mu *= -2
     mu += 1
     short = int(np.searchsorted(squares, length))
-    for s, p2 in zip(_odd_starts(lo, squares[:short]).tolist(), squares[:short].tolist()):
+    for s, p2 in zip(square_starts[:short].tolist(), squares[:short].tolist()):
         mu[s::p2] = 0
-    # a square of at least the segment's length has at most one odd multiple in it
-    longer = _odd_starts(lo, squares[short : int(np.searchsorted(squares, hi))])
+    # a square of at least the window's length has at most one multiple in it,
+    # and one above the window has none: its start is past the last slot
+    longer = square_starts[short:]
     mu[longer[longer < length]] = 0
     return mu
 
 
-def sieve_moebius(limit: int) -> MoebiusTable:
-    """Exact mu(1..limit) by segmented sieving.
+# The entries the jobs leave, in two passes: each reads what the jobs or the
+# pass before it wrote, anywhere below it. (r, first, step) sets
+# values[r m] = -values[m] for the m = first (mod step): mu(3m) = -mu(m) for
+# m coprime to 6, then mu(2m) = -mu(m) for odd m. The multiples of 9 and 4
+# keep their zeros.
+_DERIVED = (((3, 1, 6), (3, 5, 6)), ((2, 1, 2),))
 
-    Deterministic and independent of DEFAULT_SEGMENT_SIZE, the number of
-    odd n a segment holds, and of SIEVE_WORKERS, the segments sieved at
-    once; both are read at each call. The table plus the scratch of each
-    segment in flight is charged to the memory budget; ResourceLimitError
-    when over. A worker's exception is raised here.
+
+def _derive(values: np.ndarray, r: int, first: int, step: int, part: int, parts: int) -> None:
+    """values[r m] = -values[m] for the m = first (mod step) whose r m falls
+    in the part-th of `parts` equal ranges of the table's entries."""
+    count = len(range(r * first, values.size, r * step))
+    i, j = count * part // parts, count * (part + 1) // parts
+    src = values[first + step * i : first + step * j : step]
+    # disjoint from src, so numpy negates in place with no copy of it
+    np.negative(src, out=values[r * (first + step * i) : r * (first + step * j) : r * step])
+
+
+def sieve_moebius(limit: int) -> MoebiusTable:
+    """Exact mu(1..limit) by segmented sieving of the n coprime to 6.
+
+    Deterministic and independent of DEFAULT_SEGMENT_SIZE, the slots of a
+    class window, and of SIEVE_WORKERS, the jobs run at once; both are read
+    at each call. A table whose classes fit in one window each starts no
+    thread. The table plus the scratch of each job in flight is charged to
+    the memory budget; ResourceLimitError when over. A worker's exception
+    is raised here.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    seg = min(DEFAULT_SEGMENT_SIZE, (limit + 1) // 2)
-    los = range(1, limit + 1, 2 * seg)
-    workers = min(SIEVE_WORKERS, len(los))
+    seg = min(DEFAULT_SEGMENT_SIZE, (limit + 5) // 6)
+    windows = range(1, limit + 1, 6 * seg)
+    jobs = [lo + d for lo in windows for d in (0, 4) if lo + d <= limit]  # classes 1 and 5
+    workers = min(SIEVE_WORKERS, len(windows))
     _charge((limit + 1) + _SCRATCH_BYTES_PER_SLOT * seg * workers, f"sieve of limit {limit}")
     bound = max(isqrt(limit), _PRIME_FLOOR)
     omega = _omega_max(limit)
     _check_margins(limit, bound, omega)
-    primes = np.array(_base_primes(bound)[1:], dtype=np.int64)  # the odd ones: 2 divides no slot
-    squares = primes * primes
-    weights = np.array(_weights(primes.tolist()), dtype=np.uint8)
+    moduli, weights = _wheel_primes(bound)
     values = np.zeros(limit + 1, dtype=np.int8)
     scratch = np.empty((workers, _SCRATCH_BYTES_PER_SLOT, seg), dtype=np.uint8)
+    # one worker runs the passes in order and needs no barrier between them
+    barrier = threading.Barrier(workers) if workers > 1 else None
     failures: list[BaseException] = []
 
-    def fill(worker: int) -> None:
-        # segments worker, worker + workers, ...: slots no other worker writes
+    def work(worker: int) -> None:
+        # jobs worker, worker + workers, ...: slots no other worker writes
         try:
-            for lo in los[worker::workers]:
-                hi = min(lo + 2 * seg, limit + 1)
-                mu = _fill_segment(lo, hi, primes, squares, weights, omega, scratch[worker])
-                values[lo:hi:2] = mu
+            for lo in jobs[worker::workers]:
+                hi = min(lo + 6 * seg, limit + 1)
+                mu = _fill_segment(lo, hi, moduli, weights, omega, scratch[worker])
+                values[lo:hi:6] = mu
+            for derived in _DERIVED:
+                if barrier:
+                    barrier.wait()
+                for r, first, step in derived:
+                    _derive(values, r, first, step, worker, workers)
         except BaseException as exc:  # raised again in the caller, below
             failures.append(exc)
+            if barrier:
+                barrier.abort()  # the other workers leave their waits
 
     # The caller is worker 0. A helper thread's exception is kept and raised
     # here; left to the thread, it would be printed and the table returned
     # half filled.
-    helpers = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in helpers:
         thread.start()
-    fill(0)
+    work(0)
     for thread in helpers:
         thread.join()
     if failures:
         raise failures[0]
-    # mu(2m) = -mu(m) for odd m; values[4::4] keep their zeros
-    evens = values[2::4]
-    np.negative(values[1::2][: evens.size], out=evens)
     values.setflags(write=False)
     return MoebiusTable(limit=limit, values=values)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -78,13 +79,14 @@ class TestSieveCommand:
         assert err
 
     def test_failed_segment_exits_nonzero_and_writes_no_table(self, tmp_path):
-        # a segment on the second sieve thread raises; no half-filled table is cached
+        # a class-5 window, which the second sieve thread takes, raises; no
+        # half-filled table is cached
         script = (
             "import sys\n"
             "from mobiuslab import sieve\n"
             "real = sieve._fill_segment\n"
             "def failing(lo, *args):\n"
-            "    if lo == 1 + 3 * 2 * 1024:\n"
+            "    if lo == 5 + 3 * 6 * 1024:\n"
             "        raise RuntimeError('segment failed')\n"
             "    return real(lo, *args)\n"
             "sieve._fill_segment = failing\n"
@@ -103,6 +105,28 @@ class TestSieveCommand:
         assert "RuntimeError: segment failed" in proc.stderr
         assert "Exception in thread" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_exits_two_and_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        # the cache file is written on its own thread while the caller counts
+        # the summary; a save that fails after its temp file is out is raised
+        # in the caller, and the temp file is gone
+        savers = []
+
+        def fsync(fd):
+            savers.append(threading.current_thread())
+            raise OSError("fsync failed")
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        monkeypatch.setattr(sieve_module.os, "fsync", fsync)
+        code, out, err = run(capsys, "sieve", "--limit", "100000", "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert "i/o error: fsync failed" in err
+        assert out == ""
+        assert len(savers) == 1 and savers[0] is not threading.main_thread()
+        assert not savers[0].is_alive()
+        assert list(tmp_path.iterdir()) == []  # no *.mobs and no hidden temp file
+        assert unhandled == []
 
 
 class TestVerifyIdentityCommand:

@@ -84,17 +84,16 @@ def reference_sieve(limit, segment_size=DEFAULT_SEGMENT_SIZE):
 
 
 def kernel_window(lo, hi):
-    """The log-sum kernel on one window [lo, hi), lo odd, with no table of
-    [1, lo): its mu of the odd n, and the base primes it used."""
+    """The log-sum kernel on one class window [lo, hi), lo coprime to 6, with
+    no table of [1, lo): its mu of the n = lo (mod 6), and the base primes
+    up to isqrt(hi - 1), 2 and 3 included, for the reference."""
     bound = isqrt(hi - 1)
     omega = sieve_module._omega_max(hi)
     sieve_module._check_margins(hi, bound, omega)
-    primes = sieve_module._base_primes(bound)
-    odd = np.array(primes[1:], dtype=np.int64)
-    weights = np.array(sieve_module._weights(primes[1:]), dtype=np.uint8)
-    scratch = np.empty((2, (hi - lo + 1) >> 1), dtype=np.uint8)
-    got = sieve_module._fill_segment(lo, hi, odd, odd * odd, weights, omega, scratch)
-    return got, primes
+    moduli, weights = sieve_module._wheel_primes(bound)
+    scratch = np.empty((2, (hi - lo + 5) // 6), dtype=np.uint8)
+    got = sieve_module._fill_segment(lo, hi, moduli, weights, omega, scratch)
+    return got, sieve_module._base_primes(bound)
 
 
 @pytest.fixture(scope="module")
@@ -108,16 +107,27 @@ def reference_edges():
 
 
 @pytest.fixture(scope="module")
+def reference_beside():
+    return reference_sieve(BESIDE_LIMIT)
+
+
+@pytest.fixture(scope="module")
 def reference_10m():
     return reference_sieve(10**7)
 
 
 # omega, the most distinct primes of any n <= limit, steps up at the primorials 210 and 2310
 SMALL_SEGMENT_LIMITS = [*range(1, 257), 2309, 2310, 2311, 3000]
-# Segments of 2^j - 1, 2^j and 2^j + 1 odd slots span 2^(j+1) - 2, 2^(j+1) and
-# 2^(j+1) + 2 numbers, so their ends fall on, beside and across powers of two.
+# Class windows of 2^j - 1, 2^j and 2^j + 1 slots span 6 * 2^j - 6, 6 * 2^j and
+# 6 * 2^j + 6 numbers, so their ends fall at many offsets from the powers of
+# two that split the leftover test's pieces.
 EDGE_LIMIT = (1 << 22) + 3
 EDGE_SEGMENT_SIZES = [(1 << j) + d for j in range(9, 13) for d in (-1, 0, 1)]
+# Windows of 2^j // 3 - 1, 2^j // 3 and 2^j // 3 + 1 slots span 2^(j+1) - 10 to
+# 2^(j+1) + 4 numbers, so the ends of the first windows fall beside and
+# across the powers of two 2^(j+1) and 2^(j+2).
+BESIDE_LIMIT = (1 << 16) + 3
+BESIDE_SEGMENT_SIZES = [(1 << j) // 3 + d for j in range(9, 13) for d in (-1, 0, 1)]
 
 
 class TestSieve:
@@ -186,15 +196,16 @@ class TestSieve:
             sieve_moebius(10**8)
 
     def test_segment_size_read_at_each_call(self, monkeypatch):
-        # the table's 1001 bytes plus 2 bytes of scratch for each of 7 odd slots
-        # of each of the 2 segments in flight
+        # the table's 1001 bytes plus 2 bytes of scratch for each of 7 slots
+        # of each of the 2 class windows in flight
         monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 1000)
         monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 7)
         with pytest.raises(ResourceLimitError, match="needs ~1029 bytes"):
             sieve_moebius(1000)
 
     def test_peak_within_its_charge(self, monkeypatch):
-        # 8 segments of 2^16 odd slots, 2 in flight, each worker on its own scratch row
+        # 3 windows of 2^16 slots in each class, 2 jobs in flight, each worker
+        # on its own scratch row
         charged = []
         monkeypatch.setattr(sieve_module, "_charge", lambda needed, what: charged.append(needed))
         monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 1 << 16)
@@ -206,18 +217,22 @@ class TestSieve:
             tracemalloc.stop()
         assert charged == [10**6 + 1 + 2 * 2 * (1 << 16)]
         # and small objects: the base primes, each thread's Python lists of its
-        # segment's primes and starts, and the helper thread (~26 KB in all)
+        # window's primes and starts, the helper thread and the barrier (~28 KB
+        # in all)
         assert peak <= charged[0] + 32 * 1024
         assert int(table.values[1:].sum()) == 212
 
     def test_a_workers_exception_reaches_the_caller(self, monkeypatch):
-        # segment 3 runs on the helper thread, after its first segment. An
+        # the jobs alternate classes 1 and 5, so the helper thread takes every
+        # class-5 window; window 3 of class 5 runs there after three others. An
         # exception left to the thread goes to threading.excepthook, which
         # prints "Exception in thread ..." and returns
         real = sieve_module._fill_segment
+        helpers = []
 
         def failing(lo, *args):
-            if lo == 1 + 3 * 2 * 1024:
+            if lo == 5 + 3 * 6 * 1024:
+                helpers.append(threading.current_thread() is not threading.main_thread())
                 raise RuntimeError(f"segment at {lo} failed")
             return real(lo, *args)
 
@@ -225,15 +240,36 @@ class TestSieve:
         monkeypatch.setattr(threading, "excepthook", unhandled.append)
         monkeypatch.setattr(sieve_module, "_fill_segment", failing)
         monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 1024)
-        with pytest.raises(RuntimeError, match="segment at 6145 failed"):
+        with pytest.raises(RuntimeError, match="segment at 18437 failed"):
             sieve_moebius(10**5)
+        assert helpers == [True]
         assert unhandled == []
+
+    def test_a_table_of_one_window_starts_no_thread(self, monkeypatch):
+        # with 1024 slots a class window spans 6144 numbers: a limit of 6144
+        # fits one window per class and runs on the caller, 6145 needs two
+        starts = []
+        real = threading.Thread.start
+
+        def start(thread):
+            starts.append(thread)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 1024)
+        reference = reference_sieve(6145)
+        for limit, threads in [(3000, 0), (6144, 0), (6145, 1)]:
+            starts.clear()
+            got = sieve_moebius(limit).values
+            assert len(starts) == threads, limit
+            assert all(not thread.is_alive() for thread in starts)
+            assert np.array_equal(got, reference[: limit + 1]), limit
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_thread_count_never_changes_a_byte(
         self, monkeypatch, reference_3000, reference_edges, reference_10m, workers
     ):
-        # 3 threads on 2 cores, switched often, must not lose or mix a segment
+        # 3 threads on 2 cores, switched often, must not lose or mix a job
         monkeypatch.setattr(sieve_module, "SIEVE_WORKERS", workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -274,33 +310,43 @@ class TestLogSumKernel:
         got = sieve_moebius(EDGE_LIMIT).values
         assert np.array_equal(got, reference_edges)
 
+    @pytest.mark.parametrize("segment_size", BESIDE_SEGMENT_SIZES)
+    def test_matches_reference_with_window_ends_beside_powers_of_two(
+        self, monkeypatch, reference_beside, segment_size
+    ):
+        monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", segment_size)
+        got = sieve_moebius(BESIDE_LIMIT).values
+        assert np.array_equal(got, reference_beside)
+
     @pytest.mark.parametrize("near", [10**9, 10**12])
     def test_window_kernel_far_from_one(self, near):
-        # one window of 2^12 odd slots, with no table of [1, lo)
-        lo = near + 1
-        hi = lo + 2 * 4096
-        got, primes = kernel_window(lo, hi)
-        assert got.dtype == np.int8 and got.shape == (4096,)
-        assert np.array_equal(got, reference_fill_segment(lo, hi, primes)[::2])
-        rand = random.Random(near)
-        for j in rand.sample(range(4096), 64):
-            assert int(got[j]) == moebius_at(lo + 2 * j), lo + 2 * j
+        # one window of 2^12 slots in each class, with no table of [1, lo)
+        for residue in (1, 5):
+            lo = near + (residue - near) % 6
+            hi = lo + 6 * 4096
+            got, primes = kernel_window(lo, hi)
+            assert got.dtype == np.int8 and got.shape == (4096,)
+            assert np.array_equal(got, reference_fill_segment(lo, hi, primes)[::6]), lo
+            rand = random.Random(lo)
+            for j in rand.sample(range(4096), 64):
+                assert int(got[j]) == moebius_at(lo + 6 * j), lo + 6 * j
 
     def test_square_start_near_1e12_does_not_overflow(self):
-        # p^2 = lo + 20 is slot 10. The product form -lo (p^2 + 1)/2 mod p^2 of
-        # the start overflows int64 in numpy here and puts it at 408610568457
-        p = 1000003
-        lo = p * p - 20
-        hi = lo + 2 * 4096
-        got, primes = kernel_window(lo, hi)
-        assert got[10] == 0
-        assert np.array_equal(got, reference_fill_segment(lo, hi, primes)[::2])
-        rand = random.Random(p)
-        for j in [10, *rand.sample(range(4096), 64)]:
-            assert int(got[j]) == moebius_at(lo + 2 * j), lo + 2 * j
+        # k p^2 = lo + 60 is slot 10, in class 1 with k = 1 and in class 5 with
+        # k = 5. The product form -lo 6^-1 mod p^2 of the start overflows int64
+        # in numpy here and puts it at 741427812671 and at 178201781599
+        for p, k in [(1000003, 1), (447211, 5)]:
+            lo = k * p * p - 60
+            hi = lo + 6 * 4096
+            got, primes = kernel_window(lo, hi)
+            assert got[10] == 0
+            assert np.array_equal(got, reference_fill_segment(lo, hi, primes)[::6]), lo
+            rand = random.Random(p)
+            for j in [10, *rand.sample(range(4096), 64)]:
+                assert int(got[j]) == moebius_at(lo + 6 * j), lo + 6 * j
 
     def test_matches_reference_with_segments_below_the_prime_bound(self, monkeypatch):
-        # 2^10-wide segments at 2e6: base primes up to 1414 step over whole segments
+        # windows of 2^10 slots at 2e6: base primes up to 1414 step over whole windows
         limit = 2 * 10**6
         monkeypatch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", 1 << 10)
         got = sieve_moebius(limit).values
@@ -316,7 +362,7 @@ class TestLogSumKernel:
 
     def test_margins_hold_up_to_the_budget(self):
         # the largest limit the default budget admits, and the first it refuses:
-        # the table and 2 bytes per odd slot of each of the 2 segments in flight
+        # the table and 2 bytes per slot of each of the 2 class windows in flight
         top = DEFAULT_MEMORY_BUDGET - 1 - 2 * 2 * DEFAULT_SEGMENT_SIZE
         with pytest.raises(ResourceLimitError):
             sieve_moebius(top + 1)

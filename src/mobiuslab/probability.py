@@ -58,9 +58,9 @@ _BLOCK = 64
 # E, the bits after the point of shift_floats' fixed-point sum of m_K; read at
 # each call. At 256 no checkpoint of the walk to 1e10 needs the exact fallback.
 SHIFT_BITS = 256
-# _numerators' traced peak per unit of its largest cutoff K: 10.9 bytes at
-# K = 10^4 and 9.5 at 10^5 (the list of primes to K, the big sums at ~1.44 K
-# bits a numerator and ~2.88 K a square, and one product of forms per q).
+# _numerators' traced peak per unit of its largest cutoff K: 8.9 bytes at
+# K = 10^4 and 7.5 at 10^5 (the list of primes to K, and the big sums at
+# ~1.44 K bits a numerator and ~2.88 K a square).
 _SERIES_BYTES_PER_CUTOFF = 16
 # The forms _lead_forms gives at each quotient: the series' lead product and
 # one per triple numerator, eight.
@@ -207,15 +207,17 @@ def _numerators(
     A_q^2 - B_q is at q = 1 (every prime in (K/2, K] divides b + a^2), every
     prime of that quotient divides it.
 
-    The pass keeps the primes p > R that divide a nonzero form at their
-    quotient (a few per pass), each with its q and those forms, and a prime is
-    retested only where K passes one of its multiples, since only there does
-    K // p move. For each q where some form is 0 it keeps the product of the
-    primes of that quotient, slid along as K grows. Each series gcd is then
-    gcd(n mod M, M) for M the product of the primes up to R and of the
-    flagged primes of the lead product (their squares for b): ~120 and ~240
-    bits at K = 10^4, where P_K has 14,277 bits and P_K^2 28,554. Each triple
-    numerator gets the product of the primes in (R, K] that divide it.
+    Before it sums, the pass tests each pair (p, q) once, as _lead_forms
+    reaches q: the p in (max(K_0 // (q + 1), R), max K // q], K_0 the least
+    cutoff, have K // p = q at some cutoff. It keeps those that divide a
+    nonzero form (a few per pass), each with its q and those forms, and a
+    cutoff K takes the ones with K // p = q. For each q where some form is 0
+    it keeps the product of the primes of that quotient, slid along as K
+    grows. Each series gcd is then gcd(n mod M, M) for M the product of the
+    primes up to R and of the flagged primes of the lead product (their
+    squares for b): ~120 and ~240 bits at K = 10^4, where P_K has 14,277
+    bits and P_K^2 28,554. Each triple numerator gets the product of the
+    primes in (R, K] that divide it.
     """
     wanted = _checked_cutoffs(cutoffs, mu_prefix)
     if not wanted:
@@ -227,18 +229,20 @@ def _numerators(
     r = max(isqrt(top), 2)
     small = primes[: bisect_right(primes, r)]
     mus = values[: top // (r + 1) + 1].tolist()
-    tests = [0]  # q -> the product of the nonzero forms at q
     zeros: dict[int, tuple[int, ...]] = {}  # q -> the forms that are 0 at q, where any are
+    divisors = []  # (p, q, the nonzero forms at q that p divides) for those p > R
     for q, forms in enumerate(_lead_forms(mus), 1):
-        tests.append(math.prod(filter(None, forms)))
         if not all(forms):
             zeros[q] = tuple(j for j, v in enumerate(forms) if not v)
-    # p > R -> its q when tested, and the nonzero forms there that it divides
-    flags: dict[int, tuple[int, tuple[int, ...]]] = {}
+        test = math.prod(filter(None, forms))
+        low = max(wanted[0] // (q + 1), r)  # the p > R with K // p = q at some cutoff K
+        for p in primes[bisect_right(primes, low) : bisect_right(primes, top // q)]:
+            if not test % p:  # rare
+                divisors.append((p, q, tuple(j for j, v in enumerate(forms) if v and not v % p)))
     windows: dict[int, tuple[int, int, int]] = {}  # q -> slice of primes, their product
     big = big2 = 1
     a = a_odd = b = b_odd = 0
-    lo, passed, known = 1, 0, 0
+    lo, passed = 1, 0
     for k in wanted:
         while lo <= k:
             hi = min(lo + _BLOCK, k + 1)
@@ -265,20 +269,9 @@ def _numerators(
             a, a_odd = a + m * scale, a_odd + m_odd * scale
             b, b_odd = b + s * scale2, b_odd + s_odd * scale2
             lo = hi
-        # the p > R with k // p = q whose quotient moved since the last cutoff
-        for q in range(1, k // (r + 1) + 1):
-            low, high = max(known // q, k // (q + 1), r), k // q
-            if low < high:
-                test = tests[q]
-                for p in primes[bisect_right(primes, low) : bisect_right(primes, high)]:
-                    if not test % p:  # rare: find which forms it divides
-                        for forms in _lead_forms(mus[: q + 1]):
-                            pass
-                        flags[p] = q, tuple(j for j, v in enumerate(forms) if v and not v % p)
-        known = k
         # per form, the product of the primes in (R, k] that divide it: the
         # windows of the q where it is 0, each slid along with k, and the
-        # flagged primes whose quotient has not moved since
+        # divisors p of a nonzero form at their quotient q = k // p
         flagged = [1] * _FORMS
         for q, zero in zeros.items():
             start = bisect_right(primes, max(k // (q + 1), r))
@@ -292,12 +285,10 @@ def _numerators(
             windows[q] = start, stop, window
             for j in zero:
                 flagged[j] *= window
-        for p, (q, divided) in list(flags.items()):
+        for p, q, divided in divisors:
             if k // p == q:
                 for j in divided:
                     flagged[j] *= p
-            else:
-                del flags[p]
         part = math.prod(small[: bisect_right(small, k)])
         lead_part = part * flagged[0]
         lead_part2 = lead_part * lead_part

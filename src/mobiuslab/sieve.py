@@ -142,14 +142,15 @@ def _base_primes(bound: int) -> list[int]:
 
 def _omega_max(limit: int) -> int:
     """The most distinct prime factors of any n <= limit: the largest j
-    whose primorial p_1 * ... * p_j is at most limit."""
-    count, primorial, p = 0, 1, 2
-    while primorial * p <= limit:
+    whose primorial p_1 * ... * p_j is at most limit. p_(j+1) is below
+    2 bit_length(limit) + 2: it is below 2 p_j (Bertrand), and p_j - 1 is at
+    most log2 of the primorial, so below bit_length(limit)."""
+    count, primorial = 0, 1
+    for p in _base_primes(2 * limit.bit_length() + 2):
+        if primorial * p > limit:
+            break
         primorial *= p
         count += 1
-        p += 1
-        while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            p += 1
     return count
 
 
@@ -168,22 +169,17 @@ def _check_margins(limit: int, bound: int, omega: int) -> None:
         raise RuntimeError(f"the uint8 log sum can overflow at limit {limit}")
 
 
-def _weights(primes: list[int]) -> list[int]:
-    """2 L(p) + 1 for each p, with L(p) = round(2 log2 p).
+def _wheel_primes(primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """From the base primes, 2 and 3 first: those from 5 up (2 and 3 divide
+    no class member) and their squares, as the two rows of an int64 array,
+    and their weights 2 L(p) + 1 as uint8, with L(p) = round(2 log2 p).
 
     L(p) = round(log2(p^4) / 2) is bit_length(p^4) // 2 exactly: log2(p^4)
     is never an odd integer, so there is no tie.
     """
-    return [2 * ((p**4).bit_length() // 2) + 1 for p in primes]
-
-
-def _wheel_primes(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The base primes from 5 up to bound (2 and 3 divide no class member)
-    and their squares, as the two rows of an int64 array, and their weights
-    2 L(p) + 1 as uint8."""
-    primes = _base_primes(bound)[2:]
+    primes = primes[2:]
     moduli = np.array([primes, [p * p for p in primes]], dtype=np.int64)
-    return moduli, np.array(_weights(primes), dtype=np.uint8)
+    return moduli, np.array([2 * ((p**4).bit_length() // 2) + 1 for p in primes], dtype=np.uint8)
 
 
 def _class_starts(lo: int, moduli: np.ndarray) -> np.ndarray:
@@ -290,7 +286,7 @@ def sieve_moebius(limit: int) -> MoebiusTable:
     bound = max(isqrt(limit), _PRIME_FLOOR)
     omega = _omega_max(limit)
     _check_margins(limit, bound, omega)
-    moduli, weights = _wheel_primes(bound)
+    moduli, weights = _wheel_primes(_base_primes(bound))
     values = np.zeros(limit + 1, dtype=np.int8)
     scratch = np.empty((workers, _SCRATCH_BYTES_PER_SLOT, seg), dtype=np.uint8)
     # one worker runs the passes in order and needs no barrier between them

@@ -426,10 +426,12 @@ def shift_term(n: int, mu_prefix: MoebiusTable) -> Fraction:
 
 
 def checkpoint_grid(lo: int, hi: int) -> list[int]:
-    """The distinct values floor(10^(k/8)), k = 0, 1, 2, ..., that lie in [lo, hi]."""
+    """The distinct values floor(10^(k/8)), k = 0, 1, 2, ..., that lie in [lo, hi],
+    in integers: floor(sqrt(floor(t))) = floor(sqrt(t)), so three isqrt give
+    the floor of the eighth root, with no float pow."""
     points = []
     k = 0
-    while (n := int(10 ** (k / 8))) <= hi:
+    while (n := math.isqrt(math.isqrt(math.isqrt(10**k)))) <= hi:
         if n >= lo and (not points or n != points[-1]):
             points.append(n)
         k += 1

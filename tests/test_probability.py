@@ -33,6 +33,9 @@ from mobiuslab.stochastic import _RECURSION_BYTES_PER_ROOT, checkpoint_grid
 
 F = Fraction
 CLASSES = ("general", "odd", "even")
+# Banks whose least cutoff K_0 is large: only there does K_0 // (q + 1), the
+# low end of the primes _numerators tests at quotient q, rise above R at small q
+LATE_BANKS = [[5000, 10000], [7919, 7920], [3000, 9000, 9999], [99991, 100000]]
 
 
 def numerators_at(cutoffs, table):
@@ -178,6 +181,12 @@ class TestBlockAccumulator:
         assert len(cutoffs) == 927
         assert_reduced_like_fraction(cutoffs, table_100k)
 
+    @pytest.mark.parametrize("cutoffs", LATE_BANKS)
+    def test_banks_whose_least_cutoff_is_large(self, table_100k, cutoffs):
+        assert_reduced_like_fraction(cutoffs, table_100k)
+        if max(cutoffs) <= 10**4:  # the per-i oracle takes ~22 s at 10^5
+            assert_numerators_match_reference(cutoffs, table_100k)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_cutoff_sets(self, table_100k, seed):
         rng = random.Random(seed)
@@ -251,6 +260,10 @@ class TestTripleReduction:
         rng = random.Random(20260809)
         cutoffs = {isqrt(rng.randrange(2, 10**8 + 1)) for _ in range(1000)}
         assert len(cutoffs) == 927
+        assert_triples_like_fraction(cutoffs, table_100k)
+
+    @pytest.mark.parametrize("cutoffs", LATE_BANKS)
+    def test_banks_whose_least_cutoff_is_large(self, table_100k, cutoffs):
         assert_triples_like_fraction(cutoffs, table_100k)
 
     def test_hand_built_series_has_no_reduction(self, table_10k):

@@ -90,10 +90,11 @@ def kernel_window(lo, hi):
     bound = isqrt(hi - 1)
     omega = sieve_module._omega_max(hi)
     sieve_module._check_margins(hi, bound, omega)
-    moduli, weights = sieve_module._wheel_primes(bound)
+    primes = sieve_module._base_primes(bound)
+    moduli, weights = sieve_module._wheel_primes(primes)
     scratch = np.empty((2, (hi - lo + 5) // 6), dtype=np.uint8)
     got = sieve_module._fill_segment(lo, hi, moduli, weights, omega, scratch)
-    return got, sieve_module._base_primes(bound)
+    return got, primes
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +360,15 @@ class TestLogSumKernel:
             counts[p::p] += 1
         most = np.maximum.accumulate(counts)
         assert [sieve_module._omega_max(n) for n in range(1, limit + 1)] == most[1:].tolist()
+
+    def test_omega_max_at_primorials(self):
+        # omega steps from j - 1 to j at the j-th primorial, to j = 60 (a 384-bit one)
+        primes = [p for p in range(2, 300) if all(p % d for d in range(2, isqrt(p) + 1))]
+        primorial = 1
+        for j, p in enumerate(primes[:60], 1):
+            primorial *= p
+            assert sieve_module._omega_max(primorial - 1) == j - 1
+            assert sieve_module._omega_max(primorial) == j
 
     def test_margins_hold_up_to_the_budget(self):
         # the largest limit the default budget admits, and the first it refuses:

@@ -412,6 +412,19 @@ class TestMertensWalk:
         assert len(points) >= 32
         assert all(b > a for a, b in zip(points, points[1:]))
 
+    def test_checkpoint_grid_is_the_integer_eighth_root(self):
+        # floor(10^(k/8)) by bisection on n^8 <= 10^k; a float pow first misses
+        # it at k = 126, with 5623413251903491
+        roots = []
+        for k in range(400):
+            lo, hi = 1, 10 ** (k // 8 + 1)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if mid**8 <= 10**k else (lo, mid)
+            roots.append(lo)
+        assert roots[126] == 5623413251903490
+        assert checkpoint_grid(1, roots[-1]) == sorted(set(roots))
+
     def test_stats_cross_module_consistency(self, table_10m, mertens_10m):
         stats = mertens_walk_stats(10**6, table_10m)
         for n, m in zip(stats.checkpoints, stats.m_values):

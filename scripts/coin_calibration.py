@@ -46,6 +46,8 @@ def main() -> None:
         parser.error("--seeds must be >= 1")
     if args.length < MIN_TEST_LENGTH:
         parser.error(f"--length must be >= {MIN_TEST_LENGTH}, the randomness tests' minimum")
+    if not 0 < args.bias < 1:  # also refuses nan
+        parser.error("--bias must be in (0, 1)")
 
     for label, p_plus in (("fair coin", 0.5), (f"biased coin p={args.bias}", args.bias)):
         rates = rejection_rates(args.seeds, args.length, p_plus, args.master_seed)

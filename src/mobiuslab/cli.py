@@ -22,13 +22,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import functools
 import io
 import json
 import os
 import sys
 import threading
-from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -164,29 +164,26 @@ def _csv_text(header: list[str], rows: list[dict], trailer: str = "") -> str:
     return buffer.getvalue()
 
 
-@contextmanager
-def _unlimited_int_digits():
-    """Lift the interpreter's int/str digit limit, restoring it on exit.
+def _digits(n: int) -> str:
+    """str(n) in near-linear time, never reading or changing the int/str digit limit.
 
-    Exact probabilities outgrow the default 4300 digits from n ~ 2.5e7 on.
-    Interpreters older than 3.11 (and 3.10.7) have no limit to lift.
-    """
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(old)
+    n = hi * 2**h + lo (also for n < 0, by >> and &) splits down to leaves of about 1024
+    bits that Decimal converts exactly, joined in decimal arithmetic wide enough to be exact."""
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    power = functools.cache(lambda h: context.power(2, h))  # 2**h, kept for this call
+
+    def join(n: int, width: int) -> decimal.Decimal:
+        if width <= 1024:
+            return decimal.Decimal(n)
+        h = width // 2
+        hi = context.multiply(join(n >> h, width - h), power(h))
+        return context.add(hi, join(n & ((1 << h) - 1), h))
+
+    return str(join(n, n.bit_length()))
 
 
 def _fraction_json(f: Fraction) -> dict:
-    with _unlimited_int_digits():
-        num, den = str(f.numerator), str(f.denominator)
-    return {"num": num, "den": den, "decimal": float(f)}
+    return {"num": _digits(f.numerator), "den": _digits(f.denominator), "decimal": float(f)}
 
 
 def cmd_sieve(args: argparse.Namespace) -> int:
@@ -240,9 +237,9 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
 def cmd_probs(args: argparse.Namespace) -> int:
     n = args.n
     _check_n(n, "general" if args.parity == "all" else args.parity)  # before a sieve could run
-    # interval_of needs a squarefree b in (root, root + 10]: the longest run of
-    # non-squarefree integers below 1e8 has 9 members (8870024-8870032), so this holds
-    # for every root below 1e8. Warm and cold calls read the same prefix.
+    # interval_of needs a squarefree b in (root, root + 10]. The charge admits roots up to
+    # (budget - 11) // 17 = 126,322,566; up to 126,322,576 the longest run of non-squarefree
+    # integers has 9 members (8870024-8870032). Warm and cold calls read the same prefix.
     limit = max(isqrt(n) + 10, 100)
     # the table with the exact series it feeds, before a sieve could run
     needed = limit + 1 + _SERIES_BYTES_PER_CUTOFF * isqrt(n)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -27,16 +28,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def default_digit_limit():
-    """The interpreter's default int/str digit limit in force, where one exists."""
+@pytest.fixture(params=["default", 640])
+def digit_limit(request):
+    """The interpreter's int/str digit limit set to its default or to 640, the
+    least it takes, where one exists."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield None
         return
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    limit = sys.int_info.default_max_str_digits if request.param == "default" else request.param
+    sys.set_int_max_str_digits(limit)
     try:
-        yield sys.int_info.default_max_str_digits
+        yield limit
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -239,18 +242,21 @@ class TestProbsCommand:
         ],
     )
     def test_past_the_int_digit_limit(
-        self, capsys, tmp_path, default_digit_limit, n, parity, triple_fn, parity_class
+        self, capsys, monkeypatch, tmp_path, digit_limit, n, parity, triple_fn, parity_class
     ):
         # cutoff 1e4: denominators near 8600 digits, over the default 4300
-        code, out, err = run(
-            capsys, "probs", "--n", str(n), "--parity", parity, "--cache-dir", str(tmp_path)
-        )
-        if default_digit_limit is not None:
-            assert sys.get_int_max_str_digits() == default_digit_limit
+        with monkeypatch.context() as patch:
+            if digit_limit is not None:  # a setting of the whole process, not the command's
+                patch.setattr(sys, "set_int_max_str_digits", lambda _: pytest.fail("limit set"))
+            code, out, err = run(
+                capsys, "probs", "--n", str(n), "--parity", parity, "--cache-dir", str(tmp_path)
+            )
+        if digit_limit is not None:
+            assert sys.get_int_max_str_digits() == digit_limit
         assert code == 0, err
         table = sieve_moebius(isqrt(n) + 10)
         triple = triple_fn(n, table)
-        if default_digit_limit is not None:
+        if digit_limit is not None:
             sys.set_int_max_str_digits(0)  # to parse; the fixture restores it
         payload = json.loads(out)
         got = {key: as_fraction(payload[key]) for key in ("p_minus", "p_plus", "p_zero", "gap")}
@@ -261,6 +267,18 @@ class TestProbsCommand:
             "gap": delta_prob(n, parity_class, table),
         }
         assert len(payload["p_zero"]["den"]) > 4300
+
+    @pytest.mark.parametrize("digit_limit", [0], indirect=True)  # no limit, for str() here
+    def test_digits_are_those_of_str(self, digit_limit):
+        rng = random.Random(23)
+        values = [0, 1, -1, 2**1023, 2**1024 - 1, 2**1024, -(2**1024), 2**1025 + 1]
+        values += [10**308, 10**309 - 1, -(10**4300), 10**10000]
+        for bits in [2, 63, 64, 1023, 1025, 2049, 9_200, 28_600, 300_000] + [
+            rng.randint(1, 300_000) for _ in range(12)
+        ]:
+            values.append(rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1)))
+        for n in values:
+            assert cli._digits(n) == str(n), n.bit_length()
 
     def test_parity_mismatch(self, capsys, tmp_path):
         code, _, err = run(

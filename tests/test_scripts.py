@@ -22,6 +22,7 @@ def run_script(name, *argv, cwd, code=0):
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
+    assert code == 0 or proc.stdout == ""  # a refusal prints nothing to stdout
     return proc.stdout if code == 0 else proc.stderr
 
 
@@ -91,5 +92,9 @@ def test_coin_calibration_refuses_what_it_cannot_run(tmp_path):
     err = run_script("coin_calibration.py", "--seeds", "0", cwd=tmp_path, code=2)
     assert "--seeds must be >= 1" in err
     assert "Traceback" not in err
+    for bias in ("1.5", "0", "1", "nan"):
+        err = run_script("coin_calibration.py", "--bias", bias, "--seeds", "1", cwd=tmp_path, code=2)
+        assert "--bias must be in (0, 1)" in err
+        assert "Traceback" not in err
     out = run_script("coin_calibration.py", "--seeds", "1", "--length", "100", cwd=tmp_path)
     assert "fair coin (1 seeds, length 100):" in out

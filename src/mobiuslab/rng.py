@@ -4,8 +4,9 @@ Each (master seed, stream index) pair owns an independent stream whose
 k-th 64-bit word is mix64(stream_key + (k + 1) * GOLDEN), where mix64 is
 the SplitMix64 output permutation (shift-xor / multiply) and stream_key is
 mix64(seed + stream * STREAM_STEP mod 2^64). Words are a pure function of
-(seed, stream, k), so any partitioning of the work reproduces the same
-values bit for bit.
+(seed, stream, k), so any partitioning of the work, by streams or by
+counter ranges, reproduces the same values bit for bit. One function,
+word_block, makes them.
 
 All of it is numpy uint64 arithmetic on arrays, which wraps mod 2^64
 silently: the behaviour the generator relies on.
@@ -45,24 +46,25 @@ def _keys(seed: int, streams) -> np.ndarray:
 
 
 def _counters(count: int) -> np.ndarray:
-    return np.arange(1, count + 1, dtype=np.uint64) * _U64(_GOLDEN)
+    counters = np.arange(1, count + 1, dtype=np.uint64)
+    counters *= _U64(_GOLDEN)
+    return counters
 
 
-def word_block(seed: int, streams, count: int, *, out=None, scratch=None) -> np.ndarray:
-    """Matrix of words, one row per stream index; indices lie in [0, 2^64).
+def word_block(
+    seed: int, streams, count: int, *, start: int = 0, out=None, scratch=None
+) -> np.ndarray:
+    """Matrix of words k = start + 1 .. start + count, one row per stream
+    index; indices lie in [0, 2^64), and start >= 0.
 
     Written into `out` and mixed through `scratch` when they are given, each
     a uint64 array of shape (len(streams), count), so that a caller drawing
-    block after block reuses the same two buffers."""
+    block after block, of streams or of counters, reuses the same two
+    buffers. Counter k + start is stream_key + start * GOLDEN + k * GOLDEN
+    mod 2^64, so the offset moves the keys and the counters stay 1..count."""
     keys = _keys(seed, streams)
+    keys += _U64(start * _GOLDEN % (1 << 64))
     if out is None:
         out = np.empty((keys.size, count), dtype=np.uint64)
     np.add(keys[:, None], _counters(count)[None, :], out=out)
     return mix64(out, scratch)
-
-
-def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    """float64 samples in [0, 1): the top 53 bits of the stream's first count words."""
-    top = word_block(seed, [stream], count)[0]
-    top >>= _U64(11)
-    return top * (1.0 / (1 << 53))

@@ -21,12 +21,20 @@ from mobiuslab.probability import density_limits, harmonic_series, shift_floats
 from mobiuslab.sieve import MoebiusTable, _charge, mertens_series
 
 MIN_TEST_LENGTH = 100
-# Words per block of coin-walk trials are capped at this many bytes, and at 4096 trials.
-_COIN_BLOCK_BYTES = 2 << 20
-# A synthetic sequence holds at most three 8-byte arrays as long as itself at its
-# peak: rng.uniforms' words and their scratch, then the floats and np.where's
-# int64 signs (17 bytes an entry traced at 1e6).
-_COIN_SEQUENCE_BYTES_PER_ENTRY = 24
+# Words per block of coin-walk trials, and per block of a synthetic sequence,
+# are capped at this many bytes (and at 4096 trials), so that a block's words,
+# mix64's scratch and the popcounts or counters stay in a 4 MiB L2 cache. On a
+# 2-core x86 VM, medians of 25 interleaved rounds of the mean of three walks
+# of ~1e8 steps (19893 x 5102, 1e4 x 1e4, 5000 x 20000) / a 713,892-entry
+# sequence: 64 KiB 19.1 / 8.9 ms, 128 KiB 14.3 / 6.6, 256 KiB 11.8 / 5.4,
+# 512 KiB 10.8 / 5.1, 1 MiB 12.1 / 6.0, 2 MiB 16.4 / 10.4.
+_COIN_BLOCK_BYTES = 512 << 10
+# A synthetic sequence is its int8 signs, then in mustats also the randomness
+# tests' two 1-byte temporaries, as for mu signs; while it is drawn, a block's
+# words, mix64's scratch and the counters take 8 bytes a word each, and the
+# key's arrays and the array objects ~2.4 KB (traced), charged as 4 KiB.
+_COIN_SEQUENCE_BYTES_PER_ENTRY = 3
+_COIN_SEQUENCE_BYTES_PER_WORD = 24
 # coin_walk_simulate holds the int64 terminals, np.std's float64 deviations and
 # numpy's 64 KiB reduction buffer: 16.07 bytes per trial traced at 1e6 trials.
 _WALK_SUMMARY_BYTES_PER_TRIAL = 17
@@ -336,14 +344,40 @@ def _charge_sign_sequence(a: int, b: int, parity: str, limit: int) -> None:
 def coin_sign_sequence(
     length: int, seed: int, *, p_plus: float = 0.5, stream: int = 0
 ) -> np.ndarray:
-    """Synthetic +/-1 coin sequence; +1 with probability p_plus."""
+    """Synthetic +/-1 coin sequence; +1 with probability p_plus.
+
+    Entry k is +1 when u = (w >> 11) 2^-53, the top 53 bits of the stream's
+    word k + 1 as a float in [0, 1), is below p_plus. The test is made in
+    integers: w >> 11 is an integer and p_plus 2^53 is exact, so u < p_plus
+    holds exactly when w >> 11 < ceil(p_plus 2^53), that is when
+    w < ceil(p_plus 2^53) 2^11, which is at most 2^64 - 2^11 for p_plus < 1.
+    The words are drawn in blocks of at most _COIN_BLOCK_BYTES, through one
+    reused pair of buffers, and each block's signs are written straight
+    into the int8 sequence. The sequence, the randomness tests' temporaries
+    on it and the block buffers are charged to the memory budget."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if not 0.0 < p_plus < 1.0:
         raise ValueError("p_plus must be in (0, 1)")
-    _charge(_COIN_SEQUENCE_BYTES_PER_ENTRY * length, f"a coin sequence of length {length}")
-    u = rng.uniforms(seed, stream, length)
-    return np.where(u < p_plus, 1, -1).astype(np.int8)
+    count = max(1, min(_COIN_BLOCK_BYTES // 8, length))
+    _charge(
+        _COIN_SEQUENCE_BYTES_PER_ENTRY * length + _COIN_SEQUENCE_BYTES_PER_WORD * count + 4096,
+        f"a coin sequence of length {length}",
+    )
+    threshold = np.uint64(math.ceil(math.ldexp(p_plus, 53)) << 11)
+    seq = np.empty(length, dtype=np.int8)
+    words = np.empty((1, count), dtype=np.uint64)
+    scratch = np.empty_like(words)
+    for lo in range(0, length, count):
+        size = min(count, length - lo)
+        block = rng.word_block(
+            seed, [stream], size, start=lo, out=words[:, :size], scratch=scratch[:, :size]
+        )
+        signs = seq[lo : lo + size]
+        np.less(block[0], threshold, out=signs.view(np.bool_))
+        signs *= 2  # not <<= 1, which measured ~10x slower on int8
+        signs -= 1
+    return seq
 
 
 def coin_walk_terminals(steps: int, trials: int, seed: int) -> np.ndarray:
@@ -354,11 +388,12 @@ def coin_walk_terminals(steps: int, trials: int, seed: int) -> np.ndarray:
         raise ValueError("trials must be >= 1")
     nwords = (steps + 63) // 64
     rows = max(1, min(4096, _COIN_BLOCK_BYTES // (8 * nwords), trials))
-    # The terminals; per row of a block, its words and mix64's scratch (both
-    # reused), their 1-byte popcounts, and six int64s for its stream, key and
-    # sums; the counters; numpy's 64 KiB reduction buffer.
+    # The terminals; per row of a block, its words, mix64's scratch and their
+    # 1-byte popcounts (all three reused), and six int64s for its stream, key and
+    # sums; the counters; numpy's buffers, 128 KiB for word_block's broadcast add
+    # of keys and counters (traced), and later 64 KiB for the popcount sums.
     _charge(
-        8 * trials + (17 * nwords + 48) * rows + 8 * nwords + (1 << 16),
+        8 * trials + (17 * nwords + 48) * rows + 8 * nwords + (1 << 17),
         f"a run of {trials} walks of {steps} steps",
     )
     rem = steps % 64
@@ -366,12 +401,14 @@ def coin_walk_terminals(steps: int, trials: int, seed: int) -> np.ndarray:
     out = np.empty(trials, dtype=np.int64)
     words = np.empty((rows, nwords), dtype=np.uint64)
     scratch = np.empty_like(words)
+    popcounts = np.empty((rows, nwords), dtype=np.uint8)
     for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)
         streams = np.arange(lo, hi, dtype=np.uint64)
         block = rng.word_block(seed, streams, nwords, out=words[: hi - lo], scratch=scratch[: hi - lo])
         block[:, -1] &= mask
-        out[lo:hi] = 2 * np.bitwise_count(block).sum(axis=1, dtype=np.int64) - steps
+        ones = np.bitwise_count(block, out=popcounts[: hi - lo])
+        out[lo:hi] = 2 * ones.sum(axis=1, dtype=np.int64) - steps
     return out
 
 

@@ -62,12 +62,38 @@ def stream_key(seed: int, stream: int) -> int:
     return mix64_int(seed + stream * 0xD1B54A32D192ED03)
 
 
-def reference_word_block(seed: int, streams, count: int) -> list[list[int]]:
+def unmix64_int(x: int) -> int:
+    """The inverse of mix64_int: each xorshift and odd multiply undone in turn."""
+    for factor, shift in ((1, 31), (0x94D049BB133111EB, 27), (0xBF58476D1CE4E5B9, 30)):
+        y = (x * pow(factor, -1, 1 << 64)) & _MASK
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+    return x
+
+
+def seed_with_first_word(word: int) -> int:
+    """A seed whose stream 0 begins with the given word."""
+    return unmix64_int((unmix64_int(word) - 0x9E3779B97F4A7C15) & _MASK)
+
+
+def reference_word_block(seed: int, streams, count: int, start: int = 0) -> list[list[int]]:
     golden = 0x9E3779B97F4A7C15
     return [
-        [mix64_int(stream_key(seed, s) + k * golden) for k in range(1, count + 1)]
+        [mix64_int(stream_key(seed, s) + k * golden) for k in range(start + 1, start + count + 1)]
         for s in streams
     ]
+
+
+def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
+    """float64 samples in [0, 1): the top 53 bits of the stream's first count words."""
+    top = rng.word_block(seed, [stream], count)[0]
+    top >>= np.uint64(11)
+    return top * (1.0 / (1 << 53))
+
+
+def float_coin_sequence(length: int, seed: int, p_plus: float, stream: int) -> np.ndarray:
+    """The synthetic coin by the float test it restates in integers: +1 where u < p_plus."""
+    return np.where(uniforms(seed, stream, length) < p_plus, 1, -1).astype(np.int8)
 
 
 def phi_by_quadrature(x: float) -> float:
@@ -207,6 +233,23 @@ class TestSignSequences:
             tracemalloc.stop()
         assert charged and peak <= charged[0] - table_10m.values.nbytes
 
+    def test_synthetic_mustats_peak_within_its_charge(self, monkeypatch):
+        # the sequence and its blocks, then the sequence and the tests'
+        # temporaries: long enough that the blocks' charge cannot cover these
+        charged = []
+        monkeypatch.setattr(stochastic_module, "_charge", lambda needed, what: charged.append(needed))
+        tracemalloc.start()
+        try:
+            seq = coin_sign_sequence(10**7, 1)
+            chi_square_balance(seq)
+            runs_test(seq)
+            for lag in (1, 2, 3):
+                lag_autocorrelation(seq, lag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged and peak <= charged[0]
+
     def test_first_ten(self, table_10k):
         assert sign_sequence_squarefree(1, 11, "all", table_10k).tolist() == [
             1, -1, -1, -1, 1, -1, 1,
@@ -240,11 +283,16 @@ class TestStreamKeys:
         assert np.array_equal(as_array, block)
         for row, stream in zip(block, self.STREAMS):
             top = [(w >> 11) / 2**53 for w in row.tolist()]
-            assert rng.uniforms(seed, stream, 5).tolist() == top
+            assert uniforms(seed, stream, 5).tolist() == top
+        # counters start + 1 .. start + count, here from the middle of a row
+        for start in (1, 2, 2**40, 2**63):
+            moved = rng.word_block(seed, self.STREAMS, 3, start=start)
+            assert moved.tolist() == reference_word_block(seed, self.STREAMS, 3, start)
+        assert np.array_equal(rng.word_block(seed, self.STREAMS, 3, start=2), block[:, 2:])
 
     def test_uniforms_are_the_top_53_bits(self):
         words = reference_word_block(-5, [7], 4)[0]
-        assert rng.uniforms(-5, 7, 4).tolist() == [(w >> 11) / 2**53 for w in words]
+        assert uniforms(-5, 7, 4).tolist() == [(w >> 11) / 2**53 for w in words]
 
 
 class TestCoinWalks:
@@ -307,7 +355,8 @@ class TestCoinWalks:
             coin_walk_simulate(10, 10, 0, -math.inf, 0.1)
 
     def test_blocks_capped_by_row_length(self):
-        # 65537 words a row, so a block holds 3 trials where it used to hold 4096
+        # 65537 words a row, over a 512 KiB block, so a block holds 1 trial (3 in
+        # the 2 MiB blocks before), where it used to hold 4096
         steps, trials, seed = 64 * 2**16 + 5, 70, 9
         tracemalloc.start()
         try:
@@ -324,7 +373,8 @@ class TestCoinWalks:
 
     def test_warm_lab_sized_walks_stay_small(self):
         # the largest cointoss of the benchmark's warm-lab session: 311 words a
-        # row, so 842 trials a block of 2 MiB, where 16 MiB blocks held 4096
+        # row, so 210 trials a block of 512 KiB, where 2 MiB blocks held 842
+        # and 16 MiB blocks 4096
         steps, trials, seed = 19893, 5102, 7
         tracemalloc.start()
         try:
@@ -333,7 +383,7 @@ class TestCoinWalks:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
-        for k in (0, 841, 842, 5101):
+        for k in (0, 209, 210, 841, 842, 5039, 5040, 5101):
             words = rng.word_block(seed, [k], (steps + 63) // 64)[0]
             words[-1] &= np.uint64((1 << (steps % 64)) - 1)
             assert terminals[k] == 2 * int(np.bitwise_count(words).sum()) - steps
@@ -369,6 +419,57 @@ class TestCoinWalks:
         finally:
             tracemalloc.stop()
         assert peak <= max(charged)
+
+    @pytest.mark.parametrize("block_bytes", [8, 64, 4096])
+    def test_block_size_read_at_each_call(self, monkeypatch, block_bytes):
+        # blocks of 1, 8 and 512 words give the walks and sequences of 64 Ki-word blocks
+        walks = [(1, 9), (63, 17), (64, 17), (65, 17), (1000, 70)]
+        lengths = [1, 7, 8, 9, 513, 1100]
+        expected = [coin_walk_terminals(steps, trials, 4) for steps, trials in walks]
+        expected += [coin_sign_sequence(n, -3, p_plus=0.6, stream=2) for n in lengths]
+        monkeypatch.setattr(stochastic_module, "_COIN_BLOCK_BYTES", block_bytes)
+        got = [coin_walk_terminals(steps, trials, 4) for steps, trials in walks]
+        got += [coin_sign_sequence(n, -3, p_plus=0.6, stream=2) for n in lengths]
+        for a, b in zip(expected, got):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    BLOCK = _COIN_BLOCK_BYTES // 8
+    P_PLUS = [0.5, 0.6, 1 / 3, float(np.nextafter(0.5, 0)), 5e-324, 1 - 2**-53]
+
+    @pytest.mark.parametrize("p_plus", P_PLUS)
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (-7, 2**64 - 1), (2**64 + 3, 2**64 - 2)])
+    def test_sequences_are_the_float_test(self, p_plus, seed, stream):
+        # each sign decided in integers, block by block, is the float u < p_plus
+        for length in (self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, 2 * self.BLOCK + 1):
+            seq = coin_sign_sequence(length, seed, p_plus=p_plus, stream=stream)
+            assert seq.dtype == np.int8
+            assert np.array_equal(seq, float_coin_sequence(length, seed, p_plus, stream))
+
+    @pytest.mark.parametrize("p_plus", P_PLUS)
+    def test_signs_at_the_threshold_are_the_float_test(self, p_plus):
+        # words on both sides of ceil(p_plus 2^53) 2^11, where the integer test
+        # turns, and at the ends of the range
+        edge = math.ceil(math.ldexp(p_plus, 53)) << 11
+        for word in (0, 2047, edge - 2049, edge - 2048, edge - 1, edge, edge + 2047, edge + 2048, _MASK):
+            if not 0 <= word <= _MASK:
+                continue
+            seed = seed_with_first_word(word)
+            assert reference_word_block(seed, [0], 1)[0][0] == word
+            sign = coin_sign_sequence(1, seed, p_plus=p_plus)[0]
+            assert sign == float_coin_sequence(1, seed, p_plus, 0)[0] == (1 if word < edge else -1)
+
+    @pytest.mark.parametrize("length", [1000, BLOCK + 1, 10**6])
+    def test_sequence_peak_within_its_charge(self, monkeypatch, length):
+        # the int8 sequence and one block of words, scratch and counters
+        charged = []
+        monkeypatch.setattr(stochastic_module, "_charge", lambda needed, what: charged.append(needed))
+        tracemalloc.start()
+        try:
+            coin_sign_sequence(length, 3, p_plus=0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged and peak <= charged[0]
 
     def test_over_budget_sizes_raise_before_allocating(self):
         with pytest.raises(ResourceLimitError, match="memory budget"):

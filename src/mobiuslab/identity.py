@@ -5,9 +5,10 @@ i, j <= floor(sqrt(n)) whose product divides n.
 
 Two evaluators compute it. The scalar ones (moebius_via_identity and
 its odd and coprime forms) take one n: only divisors of n can fire the
-divisibility indicator, so they enumerate the squarefree divisors of n
-up to the cutoff (a chunked numpy scan) and sum over pairs of them;
-they are the oracle.
+divisibility indicator, so they enumerate the divisors of n up to the
+cutoff whose table entry is nonzero and sum over pairs of them; they are
+the oracle. The divisors come from a chunked numpy scan of the d = 1, 5
+(mod 6) alone, each multiplied by the divisors 2^a 3^b of n.
 identity_blocks takes a whole range [lo, hi): for each squarefree pair
 i <= j it adds mu(i)mu(j), doubled when i < j, to the multiples of i*j
 from max(lo, j^2) upward, then negates. Starting at j^2 is what keeps
@@ -33,8 +34,9 @@ import numpy as np
 
 from mobiuslab.sieve import MoebiusTable, _charge
 
-# The scan runs in chunks of 64 KB temporaries: one 800 KB temporary per
-# call near n = 1e10 grew the process heap by ~6 MB over 200 calls.
+# Each chunk of the scan holds two int64 temporaries of at most this many d,
+# 64 KB each, one per residue: one 800 KB temporary per call near n = 1e10
+# grew the process heap by ~6 MB over 200 calls.
 _SCAN_CHUNK = 8192
 # Range blocks hold at most this many n; each needs an int32 accumulator
 # plus a bool comparison mask in verify-identity.
@@ -53,12 +55,31 @@ def _require_prefix(n: int, mu: np.ndarray) -> int:
 
 
 def _divisor_items(n: int, cutoff: int, values) -> list[tuple[int, int]]:
-    """Squarefree divisors of n up to cutoff, paired with their mu value."""
-    divisors = []
-    for lo in range(1, cutoff + 1, _SCAN_CHUNK):
-        r = np.arange(lo, min(lo + _SCAN_CHUNK, cutoff + 1))
-        np.remainder(n, r, out=r)
-        divisors += (np.flatnonzero(r == 0) + lo).tolist()
+    """The divisors d <= cutoff of n with values[d] nonzero, ascending, each
+    paired with values[d].
+
+    Each divisor d <= cutoff is d0 2^a 3^b in exactly one way, with d0 = 1
+    or 5 (mod 6) and 2^a 3^b dividing n, both at most cutoff. So the scan
+    tests only those d0, a third of the d, and multiplies each one it finds
+    by every such 2^a 3^b, not only by 1, 2, 3 and 6: the list is that of
+    a scan of every d for any table, also one nonzero at 4 or 12.
+    """
+    smooth = []  # the divisors 2^a 3^b of n up to cutoff
+    two = 1
+    while two <= cutoff and n % two == 0:
+        s = two
+        while s <= cutoff and n % s == 0:
+            smooth.append(s)
+            s *= 3
+        two *= 2
+    found = []
+    for lo in range(1, cutoff + 1, 6 * _SCAN_CHUNK):
+        hi = min(lo + 6 * _SCAN_CHUNK, cutoff + 1)
+        for first in (lo, lo + 4):
+            r = np.arange(first, hi, 6)
+            np.remainder(n, r, out=r)
+            found += (np.flatnonzero(r == 0) * 6 + first).tolist()
+    divisors = sorted(d * s for d in found for s in smooth if d * s <= cutoff)
     return [(d, m) for d in divisors if (m := int(values[d]))]
 
 
@@ -100,6 +121,9 @@ def moebius_via_identity_coprime(
     too, so the restriction drops no term and this is the full sum, mu(n).
     With all primes below a prime n excluded, only the (1, 1) term remains.
     """
+    low = min(excluded_primes, default=2)
+    if low < 2:
+        raise ValueError(f"excluded entry {low} is below 2")
     if n < 2:
         raise ValueError("n must be >= 2")
     for p in excluded_primes:

@@ -403,9 +403,11 @@ def _series_for(
 _CLASS_FLAGS = {"general": 0, "odd": 2, "even": 4}
 
 
-def _unreduced(series: HarmonicMuSeries) -> tuple[_Reduction, int, int, int, int, int]:
-    """The series' reduction data, then a, a_odd, b, b_odd and P_K, given back
-    from its reduced values and their gcds by small multiplications."""
+def _unreduced(series: HarmonicMuSeries) -> tuple[_Reduction, int, int, int, int, int, int]:
+    """The series' reduction data, then a, a_odd, b, b_odd, P_K and P_K^2,
+    given back from its reduced values and their gcds by small
+    multiplications: s2 is b/P_K^2 reduced by g_b, so P_K^2 is its
+    denominator times g_b, with no square of P_K."""
     reduction = series._reduction
     if reduction is None:
         raise ValueError(
@@ -420,20 +422,24 @@ def _unreduced(series: HarmonicMuSeries) -> tuple[_Reduction, int, int, int, int
         series.s2.numerator * g_b,
         series.s2_odd.numerator * g_b_odd,
         series.m.denominator * g_a,
+        series.s2.denominator * g_b,
     )
 
 
-def _lowest(numerator: int, over: int, big: int, flagged: int, small: int) -> Fraction:
+def _lowest(numerator: int, over: int, big: int, big2: int, flagged: int, small: int) -> Fraction:
     """numerator / (over P_K^2) in lowest terms, for a triple numerator over
-    P_K^2 or 2 P_K^2 (over = 1 or 2), with big = P_K. flagged is the product
-    of the primes in (R, K] that divide the numerator, and small that of the
-    primes up to min(R, K). One exact division by flagged, a gcd within
-    flagged for the p^2 that divide, and one within over small^2; the
-    denominator over P_K^2 / flagged is formed as over P_K (P_K / flagged)."""
+    P_K^2 or 2 P_K^2 (over = 1 or 2), with big = P_K and big2 = P_K^2.
+    flagged is the product of the primes in (R, K] that divide the
+    numerator, and small that of the primes up to min(R, K). One exact
+    division by flagged, a gcd within flagged for the p^2 that divide, and
+    one within over small^2; the denominator over P_K^2 / flagged is over
+    big2 where flagged is 1 and over P_K (P_K / flagged) otherwise, which
+    costs less than big2 / flagged."""
     rest = numerator // flagged
     part = over * small * small
     g = math.gcd(rest % flagged, flagged) * math.gcd(numerator % part, part)
-    return _reduced(rest // g, over * big * (big // flagged) // g)
+    denominator = over * big2 if flagged == 1 else over * big * (big // flagged)
+    return _reduced(rest // g, denominator // g)
 
 
 def triple_from_series(
@@ -446,13 +452,13 @@ def triple_from_series(
     1 - s2 needs no reduction, being prime to its denominator as s2 is."""
     if parity_class not in _CLASS_FLAGS:
         raise ValueError(f"unknown parity class {parity_class!r}")
-    reduction, a, a_odd, b, b_odd, big = _unreduced(series)
+    reduction, a, a_odd, b, b_odd, big, big2 = _unreduced(series)
     flagged, small = reduction.flagged, reduction.small
     if parity_class == "even":
         square, square_odd = a * a, a_odd * a_odd
         minus = 2 * (b + square) - (b_odd + square_odd)
         plus = 2 * (b - square) - (b_odd - square_odd)
-        zero = _lowest(big * big - 2 * b + b_odd, 1, big, flagged[6], small)
+        zero = _lowest(big2 - 2 * b + b_odd, 1, big, big2, flagged[6], small)
     else:
         s2 = series.s2
         if parity_class == "odd":
@@ -462,8 +468,8 @@ def triple_from_series(
         zero = _reduced(s2.denominator - s2.numerator, s2.denominator)
     first = _CLASS_FLAGS[parity_class]
     return (
-        _lowest(minus, 2, big, flagged[first], small),
-        _lowest(plus, 2, big, flagged[first + 1], small),
+        _lowest(minus, 2, big, big2, flagged[first], small),
+        _lowest(plus, 2, big, big2, flagged[first + 1], small),
         zero,
     )
 
@@ -519,8 +525,10 @@ def delta_prob(
     if parity_class == "odd":
         return series.m_odd**2
     if parity_class == "even":
-        reduction, a, a_odd, _, _, big = _unreduced(series)
-        return _lowest(2 * a * a - a_odd * a_odd, 1, big, reduction.flagged[7], reduction.small)
+        reduction, a, a_odd, _, _, big, big2 = _unreduced(series)
+        return _lowest(
+            2 * a * a - a_odd * a_odd, 1, big, big2, reduction.flagged[7], reduction.small
+        )
     raise ValueError(f"unknown parity class {parity_class!r}")
 
 

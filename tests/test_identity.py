@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import dataclass
 from math import isqrt
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuslab import MoebiusTable, ResourceLimitError, sieve_moebius
+from mobiuslab import MoebiusTable, ResourceLimitError, moebius_at, sieve_moebius
 from mobiuslab import identity as identity_module
 from mobiuslab import sieve as sieve_module
 from mobiuslab.identity import (
@@ -78,6 +79,27 @@ def loop_divisor_items(n, cutoff, values):
     return items
 
 
+# n = 2^a 3^b m whose part 2^a 3^b lies below, at or above the cutoff: the
+# scan finds the d0 = 1, 5 (mod 6) and multiplies them by the divisors 2^a 3^b
+SMOOTH_SMALL = [
+    2**20, 3**15, 6**8, 2**5 * 3**3 * 5 * 7 * 11 * 13, 2**7 * 3**2 * 5**4, 2**3 * 3**11
+]
+SMOOTH_LARGE = [2**39, 3**25, 6**15, 2**20 * 3**10 * 7, 2**13 * 3**8 * 5**4 * 7]
+
+
+@pytest.fixture(scope="module")
+def table_1m():
+    return sieve_moebius(10**6)
+
+
+@pytest.fixture(scope="module")
+def random_table_1m():
+    """Entries in {-1, 0, 1} that are not mu: nonzero at 4, 12 and the like."""
+    values = np.random.default_rng(25).integers(-1, 2, 10**6 + 1).astype(np.int8)
+    values[0] = 0
+    return values
+
+
 def range_sums(lo, hi, mu, **kwargs):
     blocks = list(identity_blocks(lo, hi, mu, **kwargs))
     assert [start for start, _ in blocks] == sorted(start for start, _ in blocks)
@@ -123,7 +145,7 @@ class TestDivisorScan:
         for n in [rng.randrange(200**2, 230**2) for _ in range(12)]:
             assert moebius_via_identity(n, table_100k) == identity_terms(n, table_100k).value()
 
-    def test_scan_matches_loop_up_to_1e10(self, table_100k):
+    def test_scan_matches_loop_up_to_1e10(self, table_100k, random_table_1m):
         rng = random.Random(12)
         values = table_100k.values
         for _ in range(200):
@@ -131,6 +153,46 @@ class TestDivisorScan:
             items = loop_divisor_items(n, isqrt(n), values)
             assert _divisor_items(n, isqrt(n), values) == items
             assert moebius_via_identity(n, table_100k) == _identity_sum(n, items)
+            other = loop_divisor_items(n, isqrt(n), random_table_1m)
+            assert _divisor_items(n, isqrt(n), random_table_1m) == other, n
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, identity_module._SCAN_CHUNK])
+    def test_wheel_matches_loop_on_any_table(self, monkeypatch, table_1m, random_table_1m, chunk):
+        # every cutoff to 55 and so every residue of the scan's end mod 6, and
+        # n whose 2^a 3^b part lies below, at and above the cutoff
+        monkeypatch.setattr(identity_module, "_SCAN_CHUNK", chunk)
+        ns = [*range(2, 3026), *SMOOTH_SMALL]
+        if chunk > 3:
+            ns += SMOOTH_LARGE
+        for values in (table_1m.values, random_table_1m):
+            for n in ns:
+                assert _divisor_items(n, isqrt(n), values) == loop_divisor_items(
+                    n, isqrt(n), values
+                ), n
+
+    def test_odd_and_coprime_forms_on_smooth_n(self, table_1m):
+        # 10^11 + 1 = 11^2 * 23 * 4093 * 8779; 223092870 = 2 * 3 * 5 * ... * 23
+        odd = [5**17, 5**8 * 7**6, 10**11 + 1, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29]
+        for n in [*SMOOTH_SMALL, *SMOOTH_LARGE, *odd, 223092870]:
+            got = moebius_via_identity(n, table_1m)
+            assert got == moebius_at(n), n
+            if n % 2:
+                assert moebius_via_identity_odd(n, table_1m) == got, n
+            excluded = {p for p in (2, 3, 5, 7, 11, 31) if n % p}
+            assert moebius_via_identity_coprime(n, excluded, table_1m) == got, n
+
+    def test_scan_temporaries_are_bounded(self, table_100k):
+        # two int64 temporaries of _SCAN_CHUNK entries, 64 KB each, plus a
+        # few small objects: never a temporary over the whole cutoff
+        moebius_via_identity(10**10 - 1, table_100k)  # warm any lazy imports
+        tracemalloc.start()
+        try:
+            for n in range(10**10 - 20, 10**10):
+                moebius_via_identity(n, table_100k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * identity_module._SCAN_CHUNK + 32 * 1024
 
 
 class TestMoebiusViaIdentity:
@@ -189,6 +251,14 @@ class TestCoprimeRestricted:
     def test_shared_factor_rejected(self, table_10k):
         with pytest.raises(ValueError):
             moebius_via_identity_coprime(14, {2, 3}, table_10k)
+
+    @pytest.mark.parametrize("entry", [0, 1, -5])
+    def test_entry_below_two_rejected(self, monkeypatch, table_10k, entry):
+        # named before any scan: 0 once divided by zero, and 1 and -5 were
+        # reported as a shared factor
+        monkeypatch.setattr(identity_module, "_divisor_items", None)
+        with pytest.raises(ValueError, match=f"excluded entry {entry} is below 2"):
+            moebius_via_identity_coprime(35, {2, entry, 3}, table_10k)
 
     def test_restriction_is_conservative(self, table_10k):
         rng = random.Random(7)

@@ -18,6 +18,7 @@ from mobiuslab.probability import (
     _BLOCK,
     _numerators,
     _reduced,
+    _unreduced,
     delta_prob,
     density_limits,
     harmonic_series,
@@ -265,6 +266,18 @@ class TestTripleReduction:
     @pytest.mark.parametrize("cutoffs", LATE_BANKS)
     def test_banks_whose_least_cutoff_is_large(self, table_100k, cutoffs):
         assert_triples_like_fraction(cutoffs, table_100k)
+
+    def test_square_of_the_primorial_is_read_not_squared(self, table_10k, table_100k):
+        # P_K^2 is s2's denominator times its gcd, at the cutoffs of the tests above
+        rng = random.Random(20260809)
+        criterion_4 = {isqrt(rng.randrange(2, 10**8 + 1)) for _ in range(1000)}
+        around = {p + d for p in primes_to(1000) for d in (-1, 0, 1)} - {0}
+        banks = [(range(1, 3001), table_10k), (around, table_10k), (criterion_4, table_100k)]
+        banks += [(cutoffs, table_100k) for cutoffs in LATE_BANKS]
+        for cutoffs, table in banks:
+            for k, series in harmonic_series_many(cutoffs, table).items():
+                *_, big, big2 = _unreduced(series)
+                assert big2 == big * big, k
 
     def test_hand_built_series_has_no_reduction(self, table_10k):
         bank = harmonic_series_many([3, 50, 1000], table_10k)

@@ -24,14 +24,12 @@ def main() -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     args = parser.parse_args()
 
-    cache_dir = cli.resolve_cache_dir(None)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     for parity in ("all", "odd", "even"):
         path = args.out_dir / f"density_{parity}.csv"
         code = cli.main(
-            ["density", "--max", str(args.max), "--parity", parity,
-             "--out", str(path), "--cache-dir", str(cache_dir)]
+            ["density", "--max", str(args.max), "--parity", parity, "--out", str(path)]
         )
         if code:
             sys.exit(code)

@@ -22,6 +22,9 @@ the big integers are touched once per block and not once per i. At each
 requested cutoff the pass also gives each numerator's gcd with its
 denominator, found with no gcd of the big integers (see _numerators), and
 the Fractions are built from the reduced pairs without a gcd of their own.
+The large primes that divide a numerator are found by the same pass: it
+also stops at each small quotient q = K // p a candidate prime p can take,
+where its own running sums, over P_q, decide every prime of that quotient.
 
 The triples are reduced the same way: the pass also finds the primes in
 (R, K], R about the square root of its largest cutoff, that divide each
@@ -131,46 +134,29 @@ def _checked_cutoffs(cutoffs: Iterable[int], mu_prefix: MoebiusTable) -> list[in
     return wanted
 
 
-def _lead_forms(mus: list[int]) -> Iterator[tuple[int, ...]]:
-    """At q = 1, 2, ..., len(mus) - 1, from mus[j] = mu(j), the small values
-    that a prime p > R with K // p = q divides exactly when it divides the
-    matching numerator (see _numerators). A_q (A_q^odd) sums mu(j) P_q / j
-    over j <= q (odd j <= q), and B_q (B_q^odd) sums mu(j) P_q^2 / j^2, where
-    P_q is the product of the primes up to q: as in _numerators, the sums
-    take a factor j (j^2) as q reaches a prime j, the squarefree j > 1 that
-    P_{j-1} does not divide. The values are the lead product A A^odd B B^odd
-    for the series, then one per triple numerator, in the order of
-    _Reduction.flagged: A^2 - B and A^2 + B for b + a^2 and b - a^2, the same
-    with the odd sums, 2 (A^2 -/+ B) - (A_odd^2 -/+ B_odd) for the even
-    class's, 2 B - B_odd for P_K^2 - 2 b + b_odd and 2 A^2 - A_odd^2 for
-    2 a^2 - a_odd^2."""
-    scale = 1
-    a = a_odd = b = b_odd = 0
-    for j in range(1, len(mus)):
-        mu = mus[j]
-        if mu:
-            if scale % j:
-                scale *= j
-                a, a_odd, b, b_odd = a * j, a_odd * j, b * j * j, b_odd * j * j
-            share = scale // j
-            term = mu * share
-            a, b = a + term, b + term * share
-            if j & 1:
-                a_odd, b_odd = a_odd + term, b_odd + term * share
-        square, square_odd = a * a, a_odd * a_odd
-        minus, plus = square - b, square + b
-        minus_odd, plus_odd = square_odd - b_odd, square_odd + b_odd
-        yield (
-            a * a_odd * b * b_odd,
-            minus,
-            plus,
-            minus_odd,
-            plus_odd,
-            2 * minus - minus_odd,
-            2 * plus - plus_odd,
-            2 * b - b_odd,
-            2 * square - square_odd,
-        )
+def _lead_forms(a: int, a_odd: int, b: int, b_odd: int) -> tuple[int, ...]:
+    """From the pass's sums at cutoff q, A = a, A^odd = a_odd, B = b and
+    B^odd = b_odd over P_q, the small values that a prime p > R with
+    K // p = q divides exactly when it divides the matching numerator at K
+    (see _numerators): the lead product A A^odd B B^odd for the series, then
+    one per triple numerator, in the order of _Reduction.flagged: A^2 - B and
+    A^2 + B for b + a^2 and b - a^2, the same with the odd sums,
+    2 (A^2 -/+ B) - (A_odd^2 -/+ B_odd) for the even class's, 2 B - B_odd for
+    P_K^2 - 2 b + b_odd and 2 A^2 - A_odd^2 for 2 a^2 - a_odd^2."""
+    square, square_odd = a * a, a_odd * a_odd
+    minus, plus = square - b, square + b
+    minus_odd, plus_odd = square_odd - b_odd, square_odd + b_odd
+    return (
+        a * a_odd * b * b_odd,
+        minus,
+        plus,
+        minus_odd,
+        plus_odd,
+        2 * minus - minus_odd,
+        2 * plus - plus_odd,
+        2 * b - b_odd,
+        2 * square - square_odd,
+    )
 
 
 def _numerators(
@@ -197,9 +183,10 @@ def _numerators(
     modulo p, a is a unit u times A_q, the sum of mu(j) P_q / j over j <= q
     (P_q, the product of the primes up to q, is prime to p), and a_odd is u
     times A_q^odd; modulo p^2, b and b_odd are -u^2 times B_q and B_q^odd,
-    formed alike with j^2 (_lead_forms). So p divides a, a_odd, b or b_odd
-    exactly when it divides A_q A_q^odd B_q B_q^odd, and each triple numerator
-    exactly when it divides the same form of the small sums: b + a^2 is
+    formed alike with j^2: the pass's own a, a_odd, b and b_odd as it
+    reaches i = q. So p divides a, a_odd, b or b_odd exactly when it divides
+    A_q A_q^odd B_q B_q^odd, and each triple numerator exactly when it
+    divides the same form of the small sums: b + a^2 is
     u^2 (A_q^2 - B_q) modulo p, the even class's p_minus
     2 (b + a^2) - (b_odd + a_odd^2) is u^2 (2 (A_q^2 - B_q) - (A_q^odd^2 - B_q^odd)),
     and so on (_lead_forms). One number per q serves every prime with that
@@ -207,17 +194,18 @@ def _numerators(
     A_q^2 - B_q is at q = 1 (every prime in (K/2, K] divides b + a^2), every
     prime of that quotient divides it.
 
-    Before it sums, the pass tests each pair (p, q) once, as _lead_forms
-    reaches q: the p in (max(K_0 // (q + 1), R), max K // q], K_0 the least
-    cutoff, have K // p = q at some cutoff. It keeps those that divide a
-    nonzero form (a few per pass), each with its q and those forms, and a
-    cutoff K takes the ones with K // p = q. For each q where some form is 0
-    it keeps the product of the primes of that quotient, slid along as K
-    grows. Each series gcd is then gcd(n mod M, M) for M the product of the
-    primes up to R and of the flagged primes of the lead product (their
-    squares for b): ~120 and ~240 bits at K = 10^4, where P_K has 14,277
-    bits and P_K^2 28,554. Each triple numerator gets the product of the
-    primes in (R, K] that divide it.
+    The pass tests each pair (p, q) once, as it reaches i = q: the p in
+    (max(K_0 // (q + 1), R), max K // q], K_0 the least cutoff, have
+    K // p = q at some cutoff. It stops there, cutting its block short, only
+    at the q <= max K // (R + 1) where such a p exists, forms the values from
+    its sums (_lead_forms), and keeps the p that divide a nonzero form (a few
+    per pass), each with its q and those forms; a cutoff K takes the ones with
+    K // p = q. For each q where some form is 0 it keeps the product of the
+    primes of that quotient, slid along as K grows. Each series gcd is then
+    gcd(n mod M, M) for M the product of the primes up to R and of the
+    flagged primes of the lead product (their squares for b): ~120 and ~240
+    bits at K = 10^4, where P_K has 14,277 bits and P_K^2 28,554. Each triple
+    numerator gets the product of the primes in (R, K] that divide it.
     """
     wanted = _checked_cutoffs(cutoffs, mu_prefix)
     if not wanted:
@@ -228,22 +216,19 @@ def _numerators(
     primes = _base_primes(top)
     r = max(isqrt(top), 2)
     small = primes[: bisect_right(primes, r)]
-    mus = values[: top // (r + 1) + 1].tolist()
+    tests: dict[int, list[int]] = {}  # q -> the p > R with K // p = q at some cutoff K, where any
+    for q in range(1, top // (r + 1) + 1):
+        low = max(wanted[0] // (q + 1), r)
+        if candidates := primes[bisect_right(primes, low) : bisect_right(primes, top // q)]:
+            tests[q] = candidates
     zeros: dict[int, tuple[int, ...]] = {}  # q -> the forms that are 0 at q, where any are
     divisors = []  # (p, q, the nonzero forms at q that p divides) for those p > R
-    for q, forms in enumerate(_lead_forms(mus), 1):
-        if not all(forms):
-            zeros[q] = tuple(j for j, v in enumerate(forms) if not v)
-        test = math.prod(filter(None, forms))
-        low = max(wanted[0] // (q + 1), r)  # the p > R with K // p = q at some cutoff K
-        for p in primes[bisect_right(primes, low) : bisect_right(primes, top // q)]:
-            if not test % p:  # rare
-                divisors.append((p, q, tuple(j for j, v in enumerate(forms) if v and not v % p)))
     windows: dict[int, tuple[int, int, int]] = {}  # q -> slice of primes, their product
     big = big2 = 1
     a = a_odd = b = b_odd = 0
     lo, passed = 1, 0
-    for k in wanted:
+    requested = set(wanted)
+    for k in sorted(requested.union(tests)):
         while lo <= k:
             hi = min(lo + _BLOCK, k + 1)
             reached = bisect_left(primes, hi, passed)
@@ -269,6 +254,17 @@ def _numerators(
             a, a_odd = a + m * scale, a_odd + m_odd * scale
             b, b_odd = b + s * scale2, b_odd + s_odd * scale2
             lo = hi
+        if candidates := tests.pop(k, ()):  # k is a quotient q: the sums are A_q ... B_q^odd
+            forms = _lead_forms(a, a_odd, b, b_odd)
+            if not all(forms):
+                zeros[k] = tuple(j for j, v in enumerate(forms) if not v)
+            test = math.prod(filter(None, forms))
+            for p in candidates:
+                if not test % p:  # rare
+                    divided = tuple(j for j, v in enumerate(forms) if v and not v % p)
+                    divisors.append((p, k, divided))
+        if k not in requested:
+            continue
         # per form, the product of the primes in (R, k] that divide it: the
         # windows of the q where it is 0, each slid along with k, and the
         # divisors p of a nonzero form at their quotient q = k // p

@@ -289,8 +289,7 @@ def sieve_moebius(limit: int) -> MoebiusTable:
     moduli, weights = _wheel_primes(_base_primes(bound))
     values = np.zeros(limit + 1, dtype=np.int8)
     scratch = np.empty((workers, _SCRATCH_BYTES_PER_SLOT, seg), dtype=np.uint8)
-    # one worker runs the passes in order and needs no barrier between them
-    barrier = threading.Barrier(workers) if workers > 1 else None
+    barrier = threading.Barrier(workers)  # of one party, wait() returns at once
     failures: list[BaseException] = []
 
     def work(worker: int) -> None:
@@ -301,14 +300,12 @@ def sieve_moebius(limit: int) -> MoebiusTable:
                 mu = _fill_segment(lo, hi, moduli, weights, omega, scratch[worker])
                 values[lo:hi:6] = mu
             for derived in _DERIVED:
-                if barrier:
-                    barrier.wait()
+                barrier.wait()
                 for r, first, step in derived:
                     _derive(values, r, first, step, worker, workers)
         except BaseException as exc:  # raised again in the caller, below
             failures.append(exc)
-            if barrier:
-                barrier.abort()  # the other workers leave their waits
+            barrier.abort()  # the other workers leave their waits
 
     # The caller is worker 0. A helper thread's exception is kept and raised
     # here; left to the thread, it would be printed and the table returned

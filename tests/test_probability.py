@@ -267,6 +267,36 @@ class TestTripleReduction:
     def test_banks_whose_least_cutoff_is_large(self, table_100k, cutoffs):
         assert_triples_like_fraction(cutoffs, table_100k)
 
+    @pytest.mark.parametrize("cutoffs", [[10**4], [5000, 10**4]])
+    def test_lead_forms_only_at_quotients_a_prime_takes(self, monkeypatch, table_100k, cutoffs):
+        # the pass forms the lead values at each q <= top // (R + 1) with a prime
+        # in (max(K_0 // (q + 1), R), top // q], from its own sums over P_q
+        top, least = max(cutoffs), min(cutoffs)
+        r = isqrt(top)
+        primes = primes_to(top)
+        stops = [
+            q
+            for q in range(1, top // (r + 1) + 1)
+            if any(max(least // (q + 1), r) < p <= top // q for p in primes)
+        ]
+        assert stops
+        at = harmonic_series_many(stops, table_100k)
+        sums = []
+        lead_forms = probability_module._lead_forms
+
+        def counted(*args):
+            sums.append(args)
+            return lead_forms(*args)
+
+        monkeypatch.setattr(probability_module, "_lead_forms", counted)
+        assert_triples_like_fraction(cutoffs, table_100k)
+        assert len(sums) == len(stops)
+        for q, (a, a_odd, b, b_odd) in zip(stops, sums):
+            big = math.prod(p for p in primes if p <= q)
+            series = at[q]
+            assert (F(a, big), F(a_odd, big)) == (series.m, series.m_odd), q
+            assert (F(b, big * big), F(b_odd, big * big)) == (series.s2, series.s2_odd), q
+
     def test_square_of_the_primorial_is_read_not_squared(self, table_10k, table_100k):
         # P_K^2 is s2's denominator times its gcd, at the cutoffs of the tests above
         rng = random.Random(20260809)

@@ -7,11 +7,14 @@ of mu(i)/i and s2_K for the partial sum of mu(i)/i^2 (i <= K):
     Pr(mu = +1) = -m_K^2 / 2 + s2_K / 2
     Pr(mu =  0) = 1 - s2_K
 
-The odd class swaps in the odd-index partial sums; the even class is
-2 * general - odd, componentwise, at the same cutoff. All values are
-Fractions, so the normalization, gap, and averaging identities hold as
-exact rational equalities. Every triple is constant on the interval
-between squares of consecutive squarefree integers containing n.
+A class's numerators come from its own two sums by one rule (_quad): with
+m_K = a/P_K and s2_K = b/P_K^2 (P_K below), b + a^2 and b - a^2 over
+2 P_K^2, then P_K^2 - b and a^2 over P_K^2. The odd class takes the
+odd-index sums; the even class is 2 * general - odd, componentwise, at the
+same cutoff (_even). All values are Fractions, so the normalization, gap,
+and averaging identities hold as exact rational equalities. Every triple is
+constant on the interval between squares of consecutive squarefree integers
+containing n.
 
 Partial sums are accumulated as integer numerators over P_K and P_K^2,
 where P_K is the product of the primes up to the cutoff K: the lcm of every
@@ -47,7 +50,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +68,7 @@ SHIFT_BITS = 256
 # K = 10^4 and 7.5 at 10^5 (the list of primes to K, and the big sums at
 # ~1.44 K bits a numerator and ~2.88 K a square).
 _SERIES_BYTES_PER_CUTOFF = 16
-# The forms _lead_forms gives at each quotient: the series' lead product and
-# one per triple numerator, eight.
+# The values _lead_forms gives at each quotient: the lead product and 8 triple numerators.
 _FORMS = 9
 
 
@@ -74,10 +76,8 @@ class _Reduction(NamedTuple):
     """What a series carries to reduce its triples with no gcd of big
     integers: the gcds of a, a_odd, b and b_odd with P_K, P_K, P_K^2 and
     P_K^2; small, the product of the primes up to min(R, K); and, for each
-    triple numerator, the product of the primes in (R, K] that divide it.
-    Those numerators, in order, are b + a^2 and b - a^2, the same with the
-    odd sums, 2 (b + a^2) - (b_odd + a_odd^2) and 2 (b - a^2) - (b_odd - a_odd^2),
-    all over 2 P_K^2, then P_K^2 - 2 b + b_odd and 2 a^2 - a_odd^2 over P_K^2."""
+    triple numerator, the product of the primes in (R, K] that divide it, in
+    order: p_minus and p_plus of the general and odd _quad, then _even's four."""
 
     gcds: tuple[int, int, int, int]
     small: int
@@ -134,29 +134,27 @@ def _checked_cutoffs(cutoffs: Iterable[int], mu_prefix: MoebiusTable) -> list[in
     return wanted
 
 
+def _quad(a: int, b: int, big2: int) -> tuple[int, int, int, int]:
+    """One class's four numerators from its own sums a/P_K and b/P_K^2, with
+    big2 = P_K^2: b + a^2 and b - a^2 (p_minus and p_plus, over 2 P_K^2),
+    then P_K^2 - b and a^2 (p_zero and the gap, over P_K^2)."""
+    square = a * a
+    return b + square, b - square, big2 - b, square
+
+
+def _even(general: tuple[int, ...], odd: tuple[int, ...]) -> list[int]:
+    """The even class's numerators from the general and odd _quad: 2 * general - odd."""
+    return [2 * g - o for g, o in zip(general, odd)]
+
+
 def _lead_forms(a: int, a_odd: int, b: int, b_odd: int) -> tuple[int, ...]:
     """From the pass's sums at cutoff q, A = a, A^odd = a_odd, B = b and
     B^odd = b_odd over P_q, the small values that a prime p > R with
     K // p = q divides exactly when it divides the matching numerator at K
-    (see _numerators): the lead product A A^odd B B^odd for the series, then
-    one per triple numerator, in the order of _Reduction.flagged: A^2 - B and
-    A^2 + B for b + a^2 and b - a^2, the same with the odd sums,
-    2 (A^2 -/+ B) - (A_odd^2 -/+ B_odd) for the even class's, 2 B - B_odd for
-    P_K^2 - 2 b + b_odd and 2 A^2 - A_odd^2 for 2 a^2 - a_odd^2."""
-    square, square_odd = a * a, a_odd * a_odd
-    minus, plus = square - b, square + b
-    minus_odd, plus_odd = square_odd - b_odd, square_odd + b_odd
-    return (
-        a * a_odd * b * b_odd,
-        minus,
-        plus,
-        minus_odd,
-        plus_odd,
-        2 * minus - minus_odd,
-        2 * plus - plus_odd,
-        2 * b - b_odd,
-        2 * square - square_odd,
-    )
+    (see _numerators): the lead product A A^odd B B^odd, then the triple
+    numerators of _Reduction.flagged at (A, -B, 0) and (A^odd, -B^odd, 0)."""
+    general, odd = _quad(a, -b, 0), _quad(a_odd, -b_odd, 0)
+    return (a * a_odd * b * b_odd, *general[:2], *odd[:2], *_even(general, odd))
 
 
 def _numerators(
@@ -185,11 +183,10 @@ def _numerators(
     times A_q^odd; modulo p^2, b and b_odd are -u^2 times B_q and B_q^odd,
     formed alike with j^2: the pass's own a, a_odd, b and b_odd as it
     reaches i = q. So p divides a, a_odd, b or b_odd exactly when it divides
-    A_q A_q^odd B_q B_q^odd, and each triple numerator exactly when it
-    divides the same form of the small sums: b + a^2 is
-    u^2 (A_q^2 - B_q) modulo p, the even class's p_minus
-    2 (b + a^2) - (b_odd + a_odd^2) is u^2 (2 (A_q^2 - B_q) - (A_q^odd^2 - B_q^odd)),
-    and so on (_lead_forms). One number per q serves every prime with that
+    A_q A_q^odd B_q B_q^odd. Each triple numerator (_quad, _even) sums
+    multiples of a^2, b and P_K^2, and p divides P_K; so modulo p it is u^2
+    times its value at (A_q, -B_q, 0) and the odd pair (_lead_forms): b + a^2
+    goes with A_q^2 - B_q. One number per q serves every prime with that
     quotient: the product of its nonzero forms. Where a form is 0 at q, as
     A_q^2 - B_q is at q = 1 (every prime in (K/2, K] divides b + a^2), every
     prime of that quotient divides it.
@@ -394,8 +391,8 @@ def _series_for(
     return series
 
 
-# Where each class's p_minus and p_plus numerators sit in _Reduction.flagged;
-# the even p_zero's and gap's follow at 6 and 7.
+# Where each class's flagged products start in _Reduction.flagged: p_minus's and
+# p_plus's, then the even class's p_zero's and gap's.
 _CLASS_FLAGS = {"general": 0, "odd": 2, "even": 4}
 
 
@@ -422,7 +419,7 @@ def _unreduced(series: HarmonicMuSeries) -> tuple[_Reduction, int, int, int, int
     )
 
 
-def _lowest(numerator: int, over: int, big: int, big2: int, flagged: int, small: int) -> Fraction:
+def _lowest(numerator: int, over: int, flagged: int, big: int, big2: int, small: int) -> Fraction:
     """numerator / (over P_K^2) in lowest terms, for a triple numerator over
     P_K^2 or 2 P_K^2 (over = 1 or 2), with big = P_K and big2 = P_K^2.
     flagged is the product of the primes in (R, K] that divide the
@@ -438,36 +435,39 @@ def _lowest(numerator: int, over: int, big: int, big2: int, flagged: int, small:
     return _reduced(rest // g, denominator // g)
 
 
-def triple_from_series(
+def _class_numerators(
     series: HarmonicMuSeries, parity_class: ParityClass
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(p_minus, p_plus, p_zero) for a class, from the series' numerators over
-    P_K. The general triple is (b + a^2, b - a^2) over 2 P_K^2 and 1 - s2, the
-    odd one the same with the odd sums, and the even one 2 * general - odd.
-    Each numerator over 2 P_K^2 is reduced by its flagged primes (_lowest);
-    1 - s2 needs no reduction, being prime to its denominator as s2 is."""
+) -> tuple[Sequence[int], tuple[int, ...], tuple[int, int, int]]:
+    """The class's four numerators at the series' unreduced sums (_quad of its
+    own sums, or _even of the general and odd ones: each class squares only
+    the sums it reads), the flagged products from the class's first on, and
+    the primorials _lowest reads after them: P_K, P_K^2 and that to min(R, K)."""
     if parity_class not in _CLASS_FLAGS:
         raise ValueError(f"unknown parity class {parity_class!r}")
     reduction, a, a_odd, b, b_odd, big, big2 = _unreduced(series)
-    flagged, small = reduction.flagged, reduction.small
-    if parity_class == "even":
-        square, square_odd = a * a, a_odd * a_odd
-        minus = 2 * (b + square) - (b_odd + square_odd)
-        plus = 2 * (b - square) - (b_odd - square_odd)
-        zero = _lowest(big2 - 2 * b + b_odd, 1, big, big2, flagged[6], small)
+    if parity_class == "odd":
+        forms = _quad(a_odd, b_odd, big2)
     else:
-        s2 = series.s2
-        if parity_class == "odd":
-            a, b, s2 = a_odd, b_odd, series.s2_odd
-        square = a * a
-        minus, plus = b + square, b - square
-        zero = _reduced(s2.denominator - s2.numerator, s2.denominator)
-    first = _CLASS_FLAGS[parity_class]
-    return (
-        _lowest(minus, 2, big, big2, flagged[first], small),
-        _lowest(plus, 2, big, big2, flagged[first + 1], small),
-        zero,
-    )
+        forms = _quad(a, b, big2)
+        if parity_class == "even":
+            forms = _even(forms, _quad(a_odd, b_odd, big2))
+    return forms, reduction.flagged[_CLASS_FLAGS[parity_class] :], (big, big2, reduction.small)
+
+
+def triple_from_series(
+    series: HarmonicMuSeries, parity_class: ParityClass
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(p_minus, p_plus, p_zero) for a class, from its numerators over 2 P_K^2
+    and P_K^2 (_class_numerators), each reduced by its flagged primes
+    (_lowest); the general and odd p_zero, 1 - s2, needs no reduction, being
+    prime to its denominator as s2 is."""
+    (minus, plus, zero, _), flags, primorials = _class_numerators(series, parity_class)
+    if parity_class == "even":
+        p_zero = _lowest(zero, 1, flags[2], *primorials)
+    else:
+        s2 = series.s2_odd if parity_class == "odd" else series.s2
+        p_zero = _reduced(s2.denominator - s2.numerator, s2.denominator)
+    return _lowest(minus, 2, flags[0], *primorials), _lowest(plus, 2, flags[1], *primorials), p_zero
 
 
 def _triple(
@@ -521,10 +521,8 @@ def delta_prob(
     if parity_class == "odd":
         return series.m_odd**2
     if parity_class == "even":
-        reduction, a, a_odd, _, _, big, big2 = _unreduced(series)
-        return _lowest(
-            2 * a * a - a_odd * a_odd, 1, big, big2, reduction.flagged[7], reduction.small
-        )
+        (*_, gap), flags, primorials = _class_numerators(series, parity_class)
+        return _lowest(gap, 1, flags[3], *primorials)
     raise ValueError(f"unknown parity class {parity_class!r}")
 
 

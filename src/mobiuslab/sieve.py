@@ -227,7 +227,7 @@ def _fill_segment(
             np.add(v, w, out=v)
     leftover = scratch[1, :length]
     # a leftover prime is above every base prime, so no n up to the last has one
-    first = max(lo, int(primes[-1]) + 1) if primes.size else lo
+    first = max(lo, int(primes[-1]) + 1)
     leftover[: (first - lo + 5) // 6] = 0
     for k in range(first.bit_length() - 1, (hi - 1).bit_length()):
         a, b = (max(first, 1 << k) - lo + 5) // 6, (min(hi, 2 << k) - lo + 5) // 6

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import random
@@ -296,6 +297,39 @@ class TestTripleReduction:
             series = at[q]
             assert (F(a, big), F(a_odd, big)) == (series.m, series.m_odd), q
             assert (F(b, big * big), F(b_odd, big * big)) == (series.s2, series.s2_odd), q
+
+    def test_a_prime_divides_each_value_as_it_divides_its_lead_form(self, table_100k):
+        # the lemma the stops rest on: for p > max(isqrt(K), 2) and q = K // p,
+        # p divides each of the nine values at K exactly when it divides the
+        # matching lead form of the sums at q; the values are written out here
+        cutoffs = [*range(2, 401), 3162, 10**4]
+        bank = harmonic_series_many([*range(1, 401), 3162, 10**4], table_100k)
+        primes = primes_to(10**4)
+        checks = 0
+        for k in cutoffs:
+            _, a, a_odd, b, b_odd, _, big2 = _unreduced(bank[k])
+            square, square_odd = a * a, a_odd * a_odd
+            values = (
+                a * a_odd * b * b_odd,
+                b + square,
+                b - square,
+                b_odd + square_odd,
+                b_odd - square_odd,
+                2 * (b + square) - (b_odd + square_odd),
+                2 * (b - square) - (b_odd - square_odd),
+                big2 - 2 * b + b_odd,
+                2 * square - square_odd,
+            )
+            for p in primes[bisect.bisect_right(primes, max(isqrt(k), 2)) :]:
+                if p > k:
+                    break
+                _, *small, _, _ = _unreduced(bank[k // p])
+                forms = probability_module._lead_forms(*small)
+                assert len(forms) == len(values)
+                for j, (value, form) in enumerate(zip(values, forms)):
+                    assert (value % p == 0) == (form % p == 0), (k, p, j)
+                    checks += 1
+        assert checks == 151_578
 
     def test_square_of_the_primorial_is_read_not_squared(self, table_10k, table_100k):
         # P_K^2 is s2's denominator times its gcd, at the cutoffs of the tests above

@@ -41,12 +41,12 @@ _WALK_SUMMARY_BYTES_PER_TRIAL = 17
 # Per entry of a parity view: the nonzero mask and the int8 copy, then the copy
 # and the randomness tests' two 1-byte temporaries (an abs and a comparison).
 _SIGN_SEQUENCE_BYTES_PER_ENTRY = 3
-# Up to x = PREFIX_FLOOR, class_counts reads the whole table [1, x]; above it, a
-# prefix of PREFIX_SCALE icbrt(x)^2 entries (see prefix_limit). The scan costs
-# ~0.4 ns an entry and the recursion's np.cumsum into int32 ~4.5, so the scan
-# wins up to x ~ 5e6-1e7 on a 2-core x86 VM.
+# Up to x = PREFIX_FLOOR, class_counts reads the whole table [1, x]; above it, a prefix of
+# PREFIX_SCALE icbrt(x)^2 entries (see prefix_limit). The scan costs ~0.3 ns an entry and the
+# int32 prefix ~4 (2-core x86 VM), so the scan wins up to x ~ 5e6-1e7. walk / density at 1e8
+# take 25.0 / 22.6 ms at scale 16, 20.7 / 18.4 at 8, 20.8 / 19.0 at 6 and 22.8 / 21.8 at 4.
 PREFIX_FLOOR = 1 << 24
-PREFIX_SCALE = 16
+PREFIX_SCALE = 8
 # class_counts' int64 arrays over the d <= sqrt(x) and over the j of one
 # quotient, above the table and the Mertens prefix: at most this many bytes per
 # isqrt(x).
@@ -225,8 +225,8 @@ def _mertens_quotients(x: int, prefix: np.ndarray) -> np.ndarray:
     v // t - v // (t + 1) of them:
     M(v) = 1 - sum_{j=2}^{v // (q+1)} M(v // j) - sum_{t=1}^{q} M(t) (v // t - v // (t + 1)).
     v // j = x // (kj) lies above u exactly when kj <= x // (u + 1), so k runs
-    down and those terms are read from big (Deleglise & Rivat, Exp. Math. 1996,
-    in its elementary form).
+    down and those terms are read from big, the rest from the prefix at a slice of the
+    same quotients, as last <= q (Deleglise & Rivat, Exp. Math. 1996, elementary form).
     """
     top = x // prefix.size
     big = np.zeros(top + 1, dtype=np.int64)
@@ -236,11 +236,10 @@ def _mertens_quotients(x: int, prefix: np.ndarray) -> np.ndarray:
         last = v // (q + 1)
         near = min(top // k, last)  # the j in [2, near] read from big
         quotients = v // np.arange(1, q + 2, dtype=np.int64)
-        far = v // np.arange(near + 1, last + 1, dtype=np.int64)
         big[k] = (
             1
             - int(big[2 * k : near * k + 1 : k].sum())
-            - int(prefix[far].sum(dtype=np.int64))
+            - int(prefix[quotients[near:last]].sum(dtype=np.int64))
             - int(np.dot(prefix[1 : q + 1].astype(np.int64), quotients[:-1] - quotients[1:]))
         )
     return big

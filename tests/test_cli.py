@@ -447,18 +447,19 @@ class TestWalkCommand:
         monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10**5)
         code, out, err = run(capsys, *commands[0], "--cache-dir", str(cold))
         assert (code, out) == expected[0][:2]
-        assert err == "sieving mu up to 739600 (no cached table found)\n"
-        assert [p.name for p in cold.iterdir()] == ["moebius_739600.mobs"]
+        assert err == "sieving mu up to 369800 (no cached table found)\n"
+        assert [p.name for p in cold.iterdir()] == ["moebius_369800.mobs"]
         for argv, want in zip(commands, expected):
             for cache in (cold, warm):
                 assert run(capsys, *argv, "--cache-dir", str(cache)) == want, (argv, cache)
-        assert [p.name for p in cold.iterdir()] == ["moebius_739600.mobs"]
+        assert [p.name for p in cold.iterdir()] == ["moebius_369800.mobs"]
 
     @pytest.mark.parametrize("command", ["walk", "density"])
     def test_over_budget_prefix_exits_before_it_sieves(
         self, capsys, tmp_path, monkeypatch, command
     ):
-        # the 739601-byte table would fit; with its int32 Mertens prefix it does not
+        # the 369801-byte table would fit; with its int32 Mertens prefix (2,051,373
+        # bytes in all) it does not
         monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10**5)
         monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 2_000_000)
         code, out, err = run(capsys, command, "--max", "10000000", "--cache-dir", str(tmp_path))

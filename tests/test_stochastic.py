@@ -569,7 +569,7 @@ class TestMertensWalk:
         whole = mertens_walk_stats(10**7, table_10m)
         monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10**5)
         u = prefix_limit(10**7)
-        assert u == 739_600
+        assert u == 369_800
         with pytest.raises(ValueError, match=f"need {u}"):
             mertens_walk_stats(10**7, head(table_10m, u - 1))
         stats = mertens_walk_stats(10**7, head(table_10m, u))
@@ -613,9 +613,11 @@ class TestClassCounts:
     # above the floor, on both sides of a cube (150^3) and of a power of ten
     XS = [FLOOR + 1, 150**3 - 1, 150**3, 999_983, 10**6, 10**7]
 
+    @pytest.mark.parametrize("scale", [1, 8, 16])
     @pytest.mark.parametrize("parity", ["all", "odd", "even"])
-    def test_recursion_equals_span_counts(self, monkeypatch, table_10m, parity):
+    def test_recursion_equals_span_counts(self, monkeypatch, table_10m, parity, scale):
         monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", self.FLOOR)
+        monkeypatch.setattr(stochastic_module, "PREFIX_SCALE", scale)
         for x in self.XS:
             u = prefix_limit(x)
             assert math.isqrt(x) < u < x
@@ -632,14 +634,14 @@ class TestClassCounts:
 
     def test_prefix_limit(self, monkeypatch):
         assert prefix_limit(2**24) == 2**24
-        assert prefix_limit(10**8) == 3_444_736
-        assert prefix_limit(10**10) == 74_235_456
+        assert prefix_limit(10**8) == 1_722_368
+        assert prefix_limit(10**10) == 37_117_728
         # the cube root is exact in integers, at a cube and one below it
         c = 10**5 + 3
-        assert prefix_limit(c**3) == 16 * c**2
-        assert prefix_limit(c**3 - 1) == 16 * (c - 1) ** 2
+        assert prefix_limit(c**3) == 8 * c**2
+        assert prefix_limit(c**3 - 1) == 8 * (c - 1) ** 2
         monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10)
-        assert prefix_limit(11) == 11  # never above x, where 16 * 2^2 is
+        assert prefix_limit(11) == 11  # never above x, where 8 * 2^2 is
         monkeypatch.setattr(stochastic_module, "PREFIX_SCALE", 1)
         assert prefix_limit(10**6) == 10**4
         assert prefix_limit(26) == 6  # isqrt(26) + 1, above 2^2
@@ -652,7 +654,7 @@ class TestClassCounts:
         assert _icbrt(0) == 0
         for c in roots:
             assert (_icbrt(c**3 - 1), _icbrt(c**3), _icbrt(c**3 + 1)) == (c - 1, c, c), c
-        assert prefix_limit(10**399) == 16 * 10**266
+        assert prefix_limit(10**399) == 8 * 10**266
 
     def test_short_table_rejected(self, table_10k):
         with pytest.raises(ValueError, match="need 10001"):

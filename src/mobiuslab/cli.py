@@ -129,7 +129,8 @@ def ensure_table(limit: int, cache_dir: Path) -> MoebiusTable:
 
 def _class_table(limit: int, extra: int, what: str, cache_dir: Path) -> MoebiusTable:
     """The table prefix that class_counts reads for checkpoints up to limit,
-    charged with its Mertens prefix and `extra` bytes before a sieve could run."""
+    charged with what class_counts holds over it and `extra` bytes before a
+    sieve could run."""
     _charge(class_counts_bytes(limit) + extra, what)
     return ensure_table(prefix_limit(limit), cache_dir)
 

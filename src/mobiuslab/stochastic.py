@@ -18,7 +18,7 @@ import numpy as np
 
 from mobiuslab import rng
 from mobiuslab.probability import density_limits, harmonic_series, shift_floats
-from mobiuslab.sieve import MoebiusTable, _charge, mertens_series
+from mobiuslab.sieve import MoebiusTable, _charge
 
 MIN_TEST_LENGTH = 100
 # Words per block of coin-walk trials, and per block of a synthetic sequence,
@@ -43,13 +43,15 @@ _WALK_SUMMARY_BYTES_PER_TRIAL = 17
 _SIGN_SEQUENCE_BYTES_PER_ENTRY = 3
 # Up to x = PREFIX_FLOOR, class_counts reads the whole table [1, x]; above it, a prefix of
 # PREFIX_SCALE icbrt(x)^2 entries (see prefix_limit). The scan costs ~0.3 ns an entry and the
-# int32 prefix ~4 (2-core x86 VM), so the scan wins up to x ~ 5e6-1e7. walk / density at 1e8
-# take 25.0 / 22.6 ms at scale 16, 20.7 / 18.4 at 8, 20.8 / 19.0 at 6 and 22.8 / 21.8 at 4.
+# word marks ~0.55 (2-core x86 VM), but the recursion has a fixed cost per checkpoint, so the
+# scan wins up to x ~ 5e6-1e7. walk / density odd at 1e8 take 9.7 / 7.9 ms at scale 16,
+# 9.7 / 8.0 at 8, 10.2 / 8.8 at 6 and 11.8 / 10.7 at 4 (in-process medians of 9).
 PREFIX_FLOOR = 1 << 24
 PREFIX_SCALE = 8
-# class_counts' int64 arrays over the d <= sqrt(x) and over the j of one
-# quotient, above the table and the Mertens prefix: at most this many bytes per
-# isqrt(x).
+# class_counts' arrays over the t <= isqrt(x) + 1 (t, mu, M and one
+# checkpoint's M(x // m)), and the lookups', one quotient's or Q's temporaries,
+# above the table and its word marks: at most this many bytes per isqrt(x)
+# (~55 traced at 1e7).
 _RECURSION_BYTES_PER_ROOT = 64
 # The grid's second point from 1000: the fit of alpha needs two checkpoints.
 MIN_WALK_LIMIT = 1333
@@ -206,61 +208,146 @@ def prefix_limit(x: int) -> int:
     return min(x, max(math.isqrt(x) + 1, PREFIX_SCALE * _icbrt(x) ** 2))
 
 
+def _class_counts_bytes(u: int, x: int) -> int:
+    """Peak bytes of class_counts up to x above a table of u entries: the
+    table, its int32 word marks, the two uint8 counts a word of their pass's
+    chunk, and the recursion's arrays."""
+    marks = 4 * (u // 8 + 1)
+    return u + 1 + marks + 2 * _SPAN_CHUNK_WORDS + _RECURSION_BYTES_PER_ROOT * math.isqrt(x)
+
+
 def class_counts_bytes(x: int) -> int:
     """Peak bytes of class_counts up to x on a table of prefix_limit(x): the
-    table, and with a prefix shorter than x the int32 Mertens prefix and the
-    recursion's arrays."""
+    table, and with a prefix shorter than x the marks M(8i - 1), the buffers
+    of their pass and the recursion's arrays."""
     u = prefix_limit(x)
     if u >= x:
         return u + 1
-    return 5 * (u + 1) + _RECURSION_BYTES_PER_ROOT * math.isqrt(x)
+    return _class_counts_bytes(u, x)
 
 
-def _mertens_quotients(x: int, prefix: np.ndarray) -> np.ndarray:
-    """big[k] = M(x // k) for the k whose x // k lies above u, k <= x // (u + 1),
-    from the int32 prefix M(0..u), u > isqrt(x); big[0] is unused.
+# Word r has 0xFF in its bytes 0..r (byte k of a word holds n = k mod 8) and 0 elsewhere.
+_WORD_HEADS = np.tril(np.full((8, 8), 0xFF, dtype=np.uint8)).view(np.uint64)[:, 0]
 
-    Each v = x // k has sum_{j=1}^{v} M(v // j) = 1. With q = isqrt(v), the
-    j above v // (q + 1) are grouped by t = v // j <= q, which holds for
-    v // t - v // (t + 1) of them:
-    M(v) = 1 - sum_{j=2}^{v // (q+1)} M(v // j) - sum_{t=1}^{q} M(t) (v // t - v // (t + 1)).
-    v // j = x // (kj) lies above u exactly when kj <= x // (u + 1), so k runs
-    down and those terms are read from big, the rest from the prefix at a slice of the
-    same quotients, as last <= q (Deleglise & Rivat, Exp. Math. 1996, elementary form).
+
+def _word_sums(counts: np.ndarray) -> np.ndarray:
+    """The sums of mu over words, as int8, from their uint8 popcounts, in place.
+
+    Entries are the bytes 0x00, 0x01 and 0xFF, so a word's popcount is
+    plus + 8 minus. Byte 0 of a word holds mu(8i) = 0, as 4 | 8i (and
+    values[0] = 0), so plus <= 7: plus is the popcount mod 8 and minus the
+    popcount // 8, also for a word masked to its bytes 0..r."""
+    minus = counts >> 3
+    counts &= 7
+    counts -= minus
+    return counts.view(np.int8)
+
+
+def _word_marks(values: np.ndarray) -> np.ndarray:
+    """marks[i] = M(8i - 1) for i = 0..u // 8, as int32, for the table
+    values of mu(0..u): one pass over the whole words before 8 (u // 8),
+    whose popcounts go through a buffer of at most _SPAN_CHUNK_WORDS
+    entries, reused, and whose running sum is taken in place."""
+    count = (values.size - 1) // 8
+    words = values[: 8 * count].view(np.uint64)
+    marks = np.zeros(count + 1, dtype=np.int32)
+    buffer = np.empty(min(max(count, 1), _SPAN_CHUNK_WORDS), dtype=np.uint8)
+    for start in range(0, count, buffer.size):
+        chunk = words[start : start + buffer.size]
+        edges = marks[start + 1 : start + chunk.size + 1]
+        edges[:] = _word_sums(np.bitwise_count(chunk, out=buffer[: chunk.size]))
+        edges[0] += marks[start]
+        np.cumsum(edges, out=edges)
+    return marks
+
+
+def _fill_mertens(points: np.ndarray, values: np.ndarray, marks: np.ndarray) -> None:
+    """Write M(n) over each n of the int64 array points, n in [0, u], from
+    the table values of mu(0..u) and their marks (_word_marks): the mark of
+    n's word i = n >> 3 plus the sum of the word's bytes 0..n mod 8. The
+    entries after the last whole word are read as a word of their own, zero
+    padded."""
+    whole = values.size // 8
+    tail = np.zeros(8, dtype=np.int8)
+    tail[: values.size - 8 * whole] = values[8 * whole :]
+    words = values[: 8 * whole].view(np.uint64) if whole else tail.view(np.uint64)
+    i = points >> 3
+    word = words.take(i, mode="clip")
+    word[i >= whole] = tail.view(np.uint64)[0]
+    word &= _WORD_HEADS[np.bitwise_and(points, 7, out=points)]
+    sums = _word_sums(np.bitwise_count(word))
+    del word
+    points[:] = marks[i]
+    points += sums
+
+
+def _mertens_quotients(
+    x: int, values: np.ndarray, marks: np.ndarray, t: np.ndarray, mu: np.ndarray, head: np.ndarray
+) -> np.ndarray:
+    """big[m] = M(x // m) for m = 1..isqrt(x); big[0] is unused. values holds
+    mu(0..u), u > isqrt(x), and marks its word marks (_word_marks); t is
+    1, 2, ..., mu the int64 mu(0..) and head M(0..), each at least
+    isqrt(x) + 1 long.
+
+    big[m] for m above top = x // (u + 1) is looked up, as x // m <= u.
+    Below it, each v = x // k has sum_{j=1}^{v} M(v // j) = 1. With
+    q = isqrt(v), the j above v // (q + 1) are grouped by t = v // j <= q,
+    which holds for v // t - v // (t + 1) of them, and that sum is taken in
+    Abel form:
+    M(v) = 1 - sum_{j=2}^{v // (q+1)} M(v // j) - sum_{t=1}^{q} mu(t) (v // t)
+           + M(q) (v // (q + 1)).
+    v // j = x // (kj) is big[kj] while kj <= isqrt(x), so k runs down;
+    past that it is at most isqrt(x) and read from head, at a slice of the
+    quotients v // t, as last <= q (Deleglise & Rivat, Exp. Math. 1996,
+    elementary form).
     """
-    top = x // prefix.size
-    big = np.zeros(top + 1, dtype=np.int64)
+    s = math.isqrt(x)
+    top = x // values.size
+    big = np.empty(s + 1, dtype=np.int64)
+    np.floor_divide(x, t[top:s], out=big[top + 1 :])
+    _fill_mertens(big[top + 1 :], values, marks)
     for k in range(top, 0, -1):
         v = x // k
         q = math.isqrt(v)
         last = v // (q + 1)
-        near = min(top // k, last)  # the j in [2, near] read from big
-        quotients = v // np.arange(1, q + 2, dtype=np.int64)
+        near = min(s // k, last)  # the j in [2, near] read from big
+        quotients = v // t[: q + 1]
         big[k] = (
             1
             - int(big[2 * k : near * k + 1 : k].sum())
-            - int(prefix[quotients[near:last]].sum(dtype=np.int64))
-            - int(np.dot(prefix[1 : q + 1].astype(np.int64), quotients[:-1] - quotients[1:]))
+            - int(head[quotients[near:last]].sum())
+            - int(np.dot(mu[1 : q + 1], quotients[:q]))
+            + int(head[q]) * int(quotients[q])
         )
     return big
 
 
-def _class_row(x: int, parity: str, mu: np.ndarray, prefix: np.ndarray) -> tuple[int, int, int]:
+def _class_row(
+    x: int,
+    parity: str,
+    values: np.ndarray,
+    marks: np.ndarray,
+    t: np.ndarray,
+    mu: np.ndarray,
+    head: np.ndarray,
+) -> tuple[int, int, int]:
     """(minus, plus, total) over the parity class in [1, x], for x above the
-    prefix of M and mu, whose length exceeds isqrt(x) + 1."""
+    table values of mu(0..u), u > isqrt(x); the arrays are as in
+    _mertens_quotients."""
     total = len(_members(1, x + 1, parity))
-    big = _mertens_quotients(x, prefix)
-    # mu(2m) = -mu(m) for odd m and 0 for even m, so M_odd(x) = M(x) + M_odd(x // 2)
-    m_odd = sum(
-        int(big[1 << i] if 1 << i < big.size else prefix[x >> i]) for i in range(x.bit_length())
-    )
-    d = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
-    floors = x // (d * d)
-    signs = mu[1 : d.size + 1]
+    big = _mertens_quotients(x, values, marks, t, mu, head)
+    s = big.size - 1
+    # mu(2m) = -mu(m) for odd m and 0 for even m, so M_odd(x) = M(x) + M_odd(x // 2);
+    # x >> i is at most isqrt(x) once 2^i is above it
+    m_odd = sum(int(big[1 << i] if 1 << i <= s else head[x >> i]) for i in range(x.bit_length()))
+    m_all = int(big[1])
+    del big  # freed before Q's arrays, within the charge per root
+    floors = t[:s] * t[:s]
+    np.floor_divide(x, floors, out=floors)
+    signs = mu[1 : s + 1]
     q_all = int(np.dot(signs, floors))
     # the odd n <= x with d^2 | n, d odd, are d^2 m for the ceil(floor(x / d^2) / 2) odd m
     q_odd = int(np.dot(signs[::2], (floors[::2] + 1) // 2))
-    m_all = int(big[1])
     q, m = {
         "all": (q_all, m_all),
         "odd": (q_odd, m_odd),
@@ -275,21 +362,31 @@ def class_counts(xs, parity: str, table: MoebiusTable) -> np.ndarray:
 
     Checkpoints up to table.limit are running sums of span_counts. Above it
     they need a table longer than isqrt(x) + 1, and come from M and Q: M by
-    the recursion of _mertens_quotients over the int32 prefix of
-    mertens_series, Q(x) = sum_{d <= sqrt x} mu(d) floor(x / d^2), and their
-    odd parts; the even class is the rest, minus = (Q - M) / 2 and
-    plus = (Q + M) / 2.
+    the recursion of _mertens_quotients, which looks M up in the table from
+    its int32 marks M(8i - 1) (_word_marks), Q(x) = sum_{d <= sqrt x}
+    mu(d) floor(x / d^2), and their odd parts; the even class is the rest,
+    minus = (Q - M) / 2 and plus = (Q + M) / 2. The marks, the recursion's
+    arrays and the table are charged to the memory budget before the marks
+    are built.
     """
     below = [x for x in xs if x <= table.limit]
     above = xs[len(below) :]
     rows = np.cumsum(span_counts([1] + [x + 1 for x in below], parity, table), axis=0)
     if not above:
         return rows
-    if math.isqrt(above[-1]) >= table.limit:
-        need = math.isqrt(above[-1]) + 1
-        raise ValueError(f"table covers {table.limit}, need {need} for {above[-1]}")
-    prefix = mertens_series(table).prefix
-    high = [_class_row(x, parity, table.values, prefix) for x in above]
+    s = math.isqrt(above[-1])
+    if s >= table.limit:
+        raise ValueError(f"table covers {table.limit}, need {s + 1} for {above[-1]}")
+    _charge(
+        _class_counts_bytes(table.limit, above[-1]),
+        f"class counts to {above[-1]} above a table of limit {table.limit}",
+    )
+    values = table.values
+    marks = _word_marks(values)
+    t = np.arange(1, s + 2, dtype=np.int64)
+    mu = values[: s + 1].astype(np.int64)
+    head = np.cumsum(mu, dtype=np.int32)
+    high = [_class_row(x, parity, values, marks, t, mu, head) for x in above]
     return np.vstack([rows, np.array(high, dtype=np.int64)])
 
 
@@ -480,7 +577,8 @@ def mertens_walk_stats(limit: int, mu_prefix: MoebiusTable) -> MertensWalkStats:
 
     M is plus - minus of class_counts, on a table of at least
     prefix_limit(limit) entries: up to PREFIX_FLOOR that is [1, limit] and no
-    prefix array is built; above it, an int32 prefix of that table.
+    prefix array is built; above it, the int32 marks M(8i - 1) of that
+    table, half a byte an entry.
     """
     if limit < MIN_WALK_LIMIT:
         raise ValueError(f"limit must be >= {MIN_WALK_LIMIT}, the second checkpoint, to fit alpha")

@@ -458,15 +458,26 @@ class TestWalkCommand:
     def test_over_budget_prefix_exits_before_it_sieves(
         self, capsys, tmp_path, monkeypatch, command
     ):
-        # the 369801-byte table would fit; with its int32 Mertens prefix (2,051,373
-        # bytes in all) it does not
+        # the 369801-byte table would fit; with its word marks and the recursion's
+        # arrays, a byte more than the budget, it does not
         monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10**5)
-        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", 2_000_000)
+        budget = stochastic_module.class_counts_bytes(10**7) - 1
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", budget)
         code, out, err = run(capsys, command, "--max", "10000000", "--cache-dir", str(tmp_path))
         assert code == 2
         assert out == ""
         assert "memory budget" in err and "sieving" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_prefix_at_its_charge_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", 10**5)
+        budget = stochastic_module.class_counts_bytes(10**7)
+        monkeypatch.setattr(sieve_module, "DEFAULT_MEMORY_BUDGET", budget)
+        code, out, err = run(capsys, "walk", "--max", "10000000", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert err == "sieving mu up to 369800 (no cached table found)\n"
+        assert out.splitlines()[-2].startswith("10000000,1037,")
+        assert [p.name for p in tmp_path.iterdir()] == ["moebius_369800.mobs"]
 
     @pytest.mark.parametrize("command", ["walk", "density"])
     def test_huge_max_is_over_the_budget(self, capsys, tmp_path, command):

@@ -20,7 +20,9 @@ from mobiuslab import stochastic as stochastic_module
 from mobiuslab.probability import _numerators
 from mobiuslab.stochastic import (
     _COIN_BLOCK_BYTES,
+    _fill_mertens,
     _icbrt,
+    _word_marks,
     MIN_TEST_LENGTH,
     MIN_WALK_LIMIT,
     checkpoint_grid,
@@ -631,6 +633,40 @@ class TestClassCounts:
             xs = checkpoint_grid(10, top)
             expected = np.cumsum(span_counts([1] + [x + 1 for x in xs], parity, table_10m), axis=0)
             assert np.array_equal(class_counts(xs, parity, head(table_10m, u)), expected), u
+
+    def test_word_lookup_on_every_short_table(self, table_10k):
+        # every length mod 8, and so every partial last word
+        for limit in range(1, 65):
+            table = head(table_10k, limit)
+            prefix = mertens_series(table).prefix
+            marks = _word_marks(table.values)
+            assert marks.tolist() == [0, *prefix[7::8].tolist()][: limit // 8 + 1], limit
+            points = np.arange(limit + 1, dtype=np.int64)
+            _fill_mertens(points, table.values, marks)
+            assert points.tolist() == prefix.tolist(), limit
+
+    def test_word_lookup_on_the_1e7_table(self, table_10m, mertens_10m):
+        values = table_10m.values
+        marks = _word_marks(values)
+        edges = np.arange(8, values.size - 1, 8, dtype=np.int64)
+        seeded = np.random.default_rng(29).integers(0, values.size, 10**5)
+        for points in (seeded, edges - 1, edges, edges + 1):
+            want = mertens_10m.prefix[points]
+            _fill_mertens(points, values, marks)
+            assert np.array_equal(points, want)
+
+    def test_no_prefix_array_above_the_floor(self, monkeypatch, table_10m):
+        # an int32 Mertens prefix of the table would take 4 bytes an entry
+        monkeypatch.setattr(stochastic_module, "PREFIX_FLOOR", self.FLOOR)
+        u = prefix_limit(10**7)
+        table = head(table_10m, u)
+        tracemalloc.start()
+        try:
+            class_counts(checkpoint_grid(10, 10**7), "all", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u
 
     def test_prefix_limit(self, monkeypatch):
         assert prefix_limit(2**24) == 2**24

@@ -127,13 +127,6 @@ def _members(a: int, b: int, parity: str) -> range:
     return range(a + (residue - a) % step, b, step)
 
 
-def _span(a: int, b: int, parity: str, table: MoebiusTable) -> range:
-    """The integers of a parity class in [a, b), a span of the table."""
-    if not 1 <= a < b <= table.limit + 1:
-        raise ValueError(f"need 1 <= a < b <= {table.limit + 1}, got [{a}, {b})")
-    return _members(a, b, parity)
-
-
 def _class_mask(parity: str, byte: int) -> np.uint64:
     """The word with `byte` in the bytes of the class's n = 0..7 (byte k of a
     word holds n = k mod 8) and 0 elsewhere."""
@@ -142,46 +135,66 @@ def _class_mask(parity: str, byte: int) -> np.uint64:
     return mask.view(np.uint64)[0]
 
 
+# Word r has 0xFF in its bytes 0..r (byte k of a word holds n = k mod 8) and 0 elsewhere.
+_WORD_HEADS = np.tril(np.full((8, 8), 0xFF, dtype=np.uint8)).view(np.uint64)[:, 0]
+
+
+def _heads(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table values read as uint64 words, byte k of word i holding entry
+    8i + k: the whole words, a view, and for each n of the int64 array points
+    word n >> 3 masked to its bytes 0..n mod 8 by _WORD_HEADS, where the entries
+    after the whole words are one word, zero padded. points is left as n >> 3."""
+    whole = values.size // 8
+    tail = np.zeros(8, dtype=np.int8)
+    tail[: values.size - 8 * whole] = values[8 * whole :]
+    words = values[: 8 * whole].view(np.uint64)
+    heads = np.full(points.size, tail.view(np.uint64)[0])
+    inside = points < 8 * whole
+    heads[inside] = words[points[inside] >> 3]
+    heads &= _WORD_HEADS[points & 7]
+    points >>= 3
+    return words, heads
+
+
 def span_counts(edges, parity: str, table: MoebiusTable) -> np.ndarray:
     """Row i is (minus, plus, total) over the parity class in [edges[i], edges[i+1]):
     how many members have mu = -1, mu = +1, and how many there are.
 
     Entries are the bytes 0x00, 0x01 and 0xFF, so a byte's low bit marks a
-    nonzero entry and its top bit a -1. The part of a span from one multiple
-    of 8 to another is read as uint64 words, whose byte k holds n = k mod 8;
-    each word is masked to the class's low bits and then to its top bits, and
-    np.count_nonzero counts the nonzero bytes. The masks go through one
-    reused buffer of at most _SPAN_CHUNK_WORDS words. The entries before the
-    first whole word and after the last, at most 7 at each end, are counted
-    on a view.
+    nonzero entry and its top bit a -1. In the table's uint64 words (_heads),
+    whose byte k holds n = k mod 8, a word masked to the class's top bits has a
+    bit for each -1 member, and masked to its low bits one for each nonzero
+    member. With C(n) the (minus, nonzero, total) members up to n, row i is
+    C(edges[i+1] - 1) - C(edges[i] - 1): the whole words from the word of
+    edges[i] - 1 up to that of edges[i+1] - 1, plus the head of the second
+    word less that of the first. One sweep masks the whole words, each once
+    for all spans, through one reused buffer of at most _SPAN_CHUNK_WORDS
+    words, and np.count_nonzero counts their nonzero bytes; np.bitwise_count
+    counts the heads' bits.
     """
     low, top = _class_mask(parity, 0x01), _class_mask(parity, 0x80)
-    # Every step divides 8, so each word's first member is at this offset in it.
-    offset = _members(0, 8, parity).start
-    values = table.values
-    words = values[: values.size // 8 * 8].view(np.uint64)
-    longest = max((b - a for a, b in zip(edges, edges[1:])), default=0)
-    buffer = np.empty(min(max(longest // 8, 1), _SPAN_CHUNK_WORDS), dtype=np.uint64)
-    masked = buffer.view(np.uint8)
-    rows = []
     for a, b in zip(edges, edges[1:]):
-        members = _span(a, b, parity, table)
-        lo = -(-a // 8)
-        hi = max(b // 8, lo)  # words [lo, hi) lie whole in the span
-        nonzero = minus = 0
+        if not 1 <= a < b <= table.limit + 1:
+            raise ValueError(f"need 1 <= a < b <= {table.limit + 1}, got [{a}, {b})")
+    points = np.array(edges, dtype=np.int64) - 1
+    words, heads = _heads(points, table.values)
+    heads = np.bitwise_count(heads[:, None] & np.array([top, low]))
+    totals = [len(_members(1, n, parity)) for n in edges]
+    rows = np.diff(np.column_stack((heads, totals)).astype(np.int64), axis=0)
+    buffer = np.empty(min(int(np.diff(points).max(initial=1)), _SPAN_CHUNK_WORDS), dtype=np.uint64)
+    ends = points.tolist()
+    sweep = []
+    for lo, hi in zip(ends, ends[1:]):
+        counts = [0, 0]
         for start in range(lo, hi, buffer.size):
             chunk = words[start : min(start + buffer.size, hi)]
-            size = chunk.size
-            np.bitwise_and(chunk, low, out=buffer[:size])
-            nonzero += np.count_nonzero(masked[: 8 * size])
-            np.bitwise_and(chunk, top, out=buffer[:size])
-            minus += np.count_nonzero(masked[: 8 * size])
-        for c, d in ((members.start, min(8 * lo, b)), (8 * hi + offset, b)):
-            piece = values[c : d : members.step].tolist()
-            nonzero += len(piece) - piece.count(0)
-            minus += piece.count(-1)
-        rows.append((minus, nonzero - minus, len(members)))
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+            for k, mask in enumerate((top, low)):
+                masked = np.bitwise_and(chunk, mask, out=buffer[: chunk.size])
+                counts[k] += np.count_nonzero(masked.view(np.uint8))
+        sweep.append(counts)
+    rows[:, :2] += np.array(sweep, dtype=np.int64).reshape(-1, 2)
+    rows[:, 1] -= rows[:, 0]
+    return rows
 
 
 def _icbrt(x: int) -> int:
@@ -226,10 +239,6 @@ def class_counts_bytes(x: int) -> int:
     return _class_counts_bytes(u, x)
 
 
-# Word r has 0xFF in its bytes 0..r (byte k of a word holds n = k mod 8) and 0 elsewhere.
-_WORD_HEADS = np.tril(np.full((8, 8), 0xFF, dtype=np.uint8)).view(np.uint64)[:, 0]
-
-
 def _word_sums(counts: np.ndarray) -> np.ndarray:
     """The sums of mu over words, as int8, from their uint8 popcounts, in place.
 
@@ -262,22 +271,11 @@ def _word_marks(values: np.ndarray) -> np.ndarray:
 
 
 def _fill_mertens(points: np.ndarray, values: np.ndarray, marks: np.ndarray) -> None:
-    """Write M(n) over each n of the int64 array points, n in [0, u], from
-    the table values of mu(0..u) and their marks (_word_marks): the mark of
-    n's word i = n >> 3 plus the sum of the word's bytes 0..n mod 8. The
-    entries after the last whole word are read as a word of their own, zero
-    padded."""
-    whole = values.size // 8
-    tail = np.zeros(8, dtype=np.int8)
-    tail[: values.size - 8 * whole] = values[8 * whole :]
-    words = values[: 8 * whole].view(np.uint64) if whole else tail.view(np.uint64)
-    i = points >> 3
-    word = words.take(i, mode="clip")
-    word[i >= whole] = tail.view(np.uint64)[0]
-    word &= _WORD_HEADS[np.bitwise_and(points, 7, out=points)]
-    sums = _word_sums(np.bitwise_count(word))
-    del word
-    points[:] = marks[i]
+    """Write M(n) over each n of the int64 array points, n in [0, u], from the
+    table values of mu(0..u) and their marks (_word_marks): the mark of n's
+    word plus the sum of its bytes 0..n mod 8, the head span_counts reads (_heads)."""
+    sums = _word_sums(np.bitwise_count(_heads(points, values)[1]))
+    points[:] = marks[points]
     points += sums
 
 
@@ -420,7 +418,9 @@ def sign_sequence_squarefree(
 
     The table and the sequence's copies, here and in the randomness tests, are
     charged to the memory budget."""
-    members = _span(a, b, parity, table)
+    if not 1 <= a < b <= table.limit + 1:
+        raise ValueError(f"need 1 <= a < b <= {table.limit + 1}, got [{a}, {b})")
+    members = _members(a, b, parity)
     _charge_sign_sequence(a, b, parity, table.limit)
     sub = table.values[members.start : b : members.step]
     return sub[sub != 0]

@@ -176,8 +176,8 @@ class TestSpanCounts:
 
     @pytest.mark.parametrize("parity", ["all", "odd", "even"])
     def test_span_ends_at_every_residue(self, table_10k, parity):
-        # spans read as whole 8-entry words plus end pieces: ends at every
-        # residue mod 8, one-wide spans, and spans inside a single word
+        # spans read as whole 8-entry words plus the heads of their ends' words:
+        # ends at every residue mod 8, one-wide spans, and spans inside a single word
         edges = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 18, 26, 35, 44, 53, 62, 71, 80]
         edges += [80 + 64 * k + r for k, r in enumerate(range(8), start=1)] + [700, 701]
         assert span_counts(edges, parity, table_10k).tolist() == python_counts(
@@ -188,11 +188,21 @@ class TestSpanCounts:
                 assert span_counts([a, b], parity, table_10k).tolist() == python_counts(
                     table_10k, [a, b], parity
                 ), (a, b)
+        # tables of every length mod 8, so every partial last word, and every
+        # span of each, up to the last entry
+        for limit in range(1, 65):
+            table = head(table_10k, limit)
+            for a in range(1, limit + 1):
+                for b in range(a + 1, limit + 2):
+                    assert span_counts([a, b], parity, table).tolist() == python_counts(
+                        table, [a, b], parity
+                    ), (limit, a, b)
 
     @pytest.mark.parametrize("parity", ["all", "odd", "even"])
-    def test_spans_across_chunks(self, monkeypatch, table_10k, parity):
-        # 3-word chunks, so the long spans cross hundreds of chunk boundaries
-        monkeypatch.setattr(stochastic_module, "_SPAN_CHUNK_WORDS", 3)
+    @pytest.mark.parametrize("chunk_words", [1, 3])
+    def test_spans_across_chunks(self, monkeypatch, table_10k, chunk_words, parity):
+        # 1- and 3-word chunks, so the long spans cross thousands of chunk boundaries
+        monkeypatch.setattr(stochastic_module, "_SPAN_CHUNK_WORDS", chunk_words)
         edges = [3, 4, 29, 52, 53, 1001, 1024, 5003, 9999, 10001]
         assert span_counts(edges, parity, table_10k).tolist() == python_counts(
             table_10k, edges, parity
